@@ -14,6 +14,11 @@ densities, so each stage is a banded solve, and the monomer density is fixed
 per step by a scalar root-find that makes the closure hold at the committed
 state (this is what keeps conservation structural rather than approximate).
 An adaptive explicit integrator is available as a cross-check.
+
+The model functions work on plain arrays.  ``bd_flux`` and ``bd_rhs`` take
+the densities c_ell for ell = 1..ell_max, whose first entry is the monomer
+slot; the monomer closures take only the cluster densities for
+ell = 2..ell_max, which is what the steppers carry as their state.
 """
 
 from __future__ import annotations
@@ -25,11 +30,10 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .diagnostics import TrajectorySeries
+from .diagnostics import TrajectorySeries, moments
 from .rates import RateModel
 
 __all__ = [
-    "DiscreteState",
     "FullClosure",
     "DirichletClosure",
     "BdRunConfig",
@@ -54,26 +58,6 @@ class FullClosure:
 @dataclass(frozen=True)
 class DirichletClosure:
     pass
-
-
-@dataclass
-class DiscreteState:
-    """Cluster densities c_ell on ell = 1..ell_max at time t.
-
-    ``c[0]`` is the monomer slot: the monomer density for the full closure,
-    identically 0 for the Dirichlet closure (the driving monomer density then
-    enters only through the rates).
-    """
-
-    c: np.ndarray
-    t: float
-
-    @property
-    def ell_max(self) -> int:
-        return len(self.c)
-
-    def copy(self) -> "DiscreteState":
-        return DiscreteState(c=self.c.copy(), t=self.t)
 
 
 @dataclass
@@ -117,27 +101,33 @@ class BdRunConfig:
             raise ValueError("t_end, dt_init and output_stride must be positive")
 
 
-def bd_flux(state: DiscreteState, model: RateModel, c1: float, ell: int) -> float:
-    """Flux J_ell = a_ell c1 c_ell - b_(ell+1) c_(ell+1); zero at the cutoff."""
-    if not 1 <= ell <= state.ell_max:
-        raise ValueError(f"ell must be in [1, {state.ell_max}]")
-    if ell == state.ell_max:
+def bd_flux(c: np.ndarray, model: RateModel, c1: float, ell: int) -> float:
+    """Flux J_ell = a_ell c1 c_ell - b_(ell+1) c_(ell+1); zero at the cutoff.
+
+    ``c`` holds c_ell for ell = 1..ell_max.
+    """
+    ell_max = len(c)
+    if not 1 <= ell <= ell_max:
+        raise ValueError(f"ell must be in [1, {ell_max}]")
+    if ell == ell_max:
         return 0.0
     a = model.attach(ell)
     b_next = model.detach(ell + 1)
-    return float(a * c1 * state.c[ell - 1] - b_next * state.c[ell])
+    return float(a * c1 * c[ell - 1] - b_next * c[ell])
 
 
-def monomer_closure_full(state: DiscreteState, rho: float) -> float:
-    """c1 = max(rho - sum_(ell>=2) ell c_ell, 0)."""
-    ells = np.arange(2, state.ell_max + 1)
-    return float(max(rho - ells @ state.c[1:], 0.0))
+def monomer_closure_full(c: np.ndarray, rho: float) -> float:
+    """c1 = max(rho - sum_(ell>=2) ell c_ell, 0); ``c`` holds ell = 2..ell_max."""
+    ells = np.arange(2, len(c) + 2)
+    return float(max(rho - ells @ c, 0.0))
 
 
-def monomer_closure_dirichlet(state: DiscreteState, model: RateModel) -> float:
-    """Flux-balance monomer density; always exceeds z_s for nonempty states."""
-    c = state.c[1:]
-    ells = np.arange(2, state.ell_max + 1)
+def monomer_closure_dirichlet(c: np.ndarray, model: RateModel) -> float:
+    """Flux-balance monomer density; always exceeds z_s for nonempty states.
+
+    ``c`` holds the cluster densities c_ell for ell = 2..ell_max.
+    """
+    ells = np.arange(2, len(c) + 2)
     denom = float(model.attach(ells) @ c)
     if denom <= 0.0:
         raise ZeroDivisionError("degenerate state: no clusters with ell >= 2")
@@ -146,42 +136,33 @@ def monomer_closure_dirichlet(state: DiscreteState, model: RateModel) -> float:
     return model.z_s + numer / denom
 
 
-def _fluxes(c: np.ndarray, model: RateModel, c1: float, monomer_slot: float) -> np.ndarray:
-    """J_ell for ell = 1..ell_max (J at the cutoff is 0).
-
-    ``monomer_slot`` is the value of c(1,t) used inside J_1: equal to c1 for
-    the full closure, 0 for the Dirichlet closure.
-    """
-    n = len(c)
-    ells = np.arange(1, n + 1, dtype=float)
-    a = model.attach(ells)
-    b = model.detach(ells)
-    cc = c.copy()
-    cc[0] = monomer_slot
-    j = np.zeros(n)
-    j[:-1] = a[:-1] * c1 * cc[:-1] - b[1:] * cc[1:]
-    return j
-
-
 def bd_rhs(
-    state: DiscreteState,
+    c: np.ndarray,
     model: RateModel,
     closure: FullClosure | DirichletClosure,
 ) -> np.ndarray:
     """Time derivatives dc_ell/dt = J_(ell-1) - J_ell for ell >= 2.
 
-    The monomer slot of the returned array carries -(J_1 + sum_ell J_ell) for
-    the full closure (so the conserved total mass has zero derivative) and 0
-    for the Dirichlet closure.
+    ``c`` holds c_ell for ell = 1..ell_max; its monomer slot ``c[0]`` is not
+    read, since the closure fixes the monomer density.  The monomer slot of
+    the returned array carries -(J_1 + sum_ell J_ell) for the full closure (so
+    the conserved total mass has zero derivative) and 0 for the Dirichlet
+    closure.
     """
+    # fluxes J_ell for ell = 1..ell_max (0 at the cutoff), with c(1,t) inside
+    # J_1 equal to c1 for the full closure and 0 for the Dirichlet closure
+    cc = c.copy()
     if isinstance(closure, FullClosure):
-        c1 = monomer_closure_full(state, closure.rho)
-        monomer_slot = c1
+        c1 = cc[0] = monomer_closure_full(c[1:], closure.rho)
     else:
-        c1 = monomer_closure_dirichlet(state, model)
-        monomer_slot = 0.0
-    j = _fluxes(state.c, model, c1, monomer_slot)
-    dc = np.zeros_like(state.c)
+        c1 = monomer_closure_dirichlet(c[1:], model)
+        cc[0] = 0.0
+    ells = np.arange(1, len(c) + 1, dtype=float)
+    a = model.attach(ells)
+    b = model.detach(ells)
+    j = np.zeros(len(c))
+    j[:-1] = a[:-1] * c1 * cc[:-1] - b[1:] * cc[1:]
+    dc = np.zeros_like(c)
     dc[1:] = j[:-1] - j[1:]
     if isinstance(closure, FullClosure):
         dc[0] = -(j[0] + j.sum())
@@ -258,8 +239,7 @@ def _step_semi_implicit(
 
         c1 = brentq(defect, 0.0, rho, xtol=1e-15, rtol=8.9e-16)
     else:
-        state = DiscreteState(c=np.concatenate(([0.0], c)), t=0.0)
-        guess = monomer_closure_dirichlet(state, model)
+        guess = monomer_closure_dirichlet(c, model)
         mass0 = float(ells @ c)
 
         def defect(c1: float) -> float:
@@ -326,7 +306,7 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
 
     recorder = _Recorder(config, ells)
     recorder.record(t, c)
-    snapshots = [(0.0, _assemble(c, config, ells))]
+    snapshots = [(0.0, _assemble(c, config))]
     next_out = 1
 
     mass0 = config.closure.rho if full else 1.0
@@ -354,8 +334,7 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
                 clipped = False
                 dt_try *= 0.5 if err <= 1.0 else max(0.2, 0.9 * err ** (-1.0 / 3.0))
 
-        mass = float(ells @ c) + (monomer_closure_full(
-            DiscreteState(np.concatenate(([0.0], c)), t), config.closure.rho) if full else 0.0)
+        mass = float(ells @ c) + (monomer_closure_full(c, config.closure.rho) if full else 0.0)
         if abs(mass - mass0) > config.mass_tol * max(mass0, 1.0):
             raise BdRunError(f"mass drift {mass - mass0:.3e} at t = {t}")
         if c[-1] > 1e-10 * mass0 / ell_max:
@@ -365,19 +344,16 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
             )
         if next_out < len(out_times) and t >= out_times[next_out] - 1e-12:
             recorder.record(t, c)
-            snapshots.append((t, _assemble(c, config, ells)))
+            snapshots.append((t, _assemble(c, config)))
             next_out += 1
 
     return recorder.series(config), snapshots
 
 
-def _assemble(c: np.ndarray, config: BdRunConfig, ells: np.ndarray) -> np.ndarray:
+def _assemble(c: np.ndarray, config: BdRunConfig) -> np.ndarray:
     """Full ell = 1..ell_max density vector including the monomer slot."""
-    if isinstance(config.closure, FullClosure):
-        state = DiscreteState(np.concatenate(([0.0], c)), 0.0)
-        c1 = monomer_closure_full(state, config.closure.rho)
-    else:
-        c1 = 0.0
+    full = isinstance(config.closure, FullClosure)
+    c1 = monomer_closure_full(c, config.closure.rho) if full else 0.0
     return np.concatenate(([c1], c))
 
 
@@ -389,22 +365,16 @@ class _Recorder:
 
     def record(self, t: float, c: np.ndarray) -> None:
         cfg = self.config
-        full = isinstance(cfg.closure, FullClosure)
-        state = DiscreteState(np.concatenate(([0.0], c)), t)
-        if full:
-            c1 = monomer_closure_full(state, cfg.closure.rho)
-            number = c1 + float(c.sum())
-            mass = c1 + float(self.ells @ c)
-            lam = mass / number if number > 0 else np.nan
-            energy = c1 + float(self.ells ** (2.0 / 3.0) @ c)
-            scale = c1 + float(self.ells ** (4.0 / 3.0) @ c)
+        if isinstance(cfg.closure, FullClosure):
+            c1 = monomer_closure_full(c, cfg.closure.rho)
+            monomers = c1  # size-1 clusters add c1 to every moment
         else:
-            c1 = monomer_closure_dirichlet(state, cfg.model)
-            number = float(c.sum())
-            mass = float(self.ells @ c)
-            lam = mass / number if number > 0 else np.nan
-            energy = float(self.ells ** (2.0 / 3.0) @ c)
-            scale = float(self.ells ** (4.0 / 3.0) @ c)
+            c1 = monomer_closure_dirichlet(c, cfg.model)
+            monomers = 0.0  # the Dirichlet state holds no monomers
+        number, mass, energy, scale = (
+            monomers + m for m in moments(self.ells, c)
+        )
+        lam = mass / number if number > 0 else np.nan
         g = float(c.sum())
         if c1 > self.config.model.z_s:
             ell_scale = (cfg.model.q / (c1 - cfg.model.z_s)) ** 3
@@ -434,21 +404,10 @@ class _Recorder:
 def _run_explicit(
     config: BdRunConfig, gamma: np.ndarray, out_times: np.ndarray
 ) -> tuple[TrajectorySeries, list[tuple[float, np.ndarray]]]:
-    model = config.model
-    full = isinstance(config.closure, FullClosure)
-    ell_max = len(gamma)
-    ells = np.arange(2, ell_max + 1, dtype=float)
+    ells = np.arange(2, len(gamma) + 1, dtype=float)
 
     def rhs(t: float, c: np.ndarray) -> np.ndarray:
-        state = DiscreteState(np.concatenate(([0.0], c)), t)
-        if full:
-            c1 = monomer_closure_full(state, config.closure.rho)
-            slot = c1
-        else:
-            c1 = monomer_closure_dirichlet(state, model)
-            slot = 0.0
-        j = _fluxes(np.concatenate(([slot], c)), model, c1, slot)
-        return j[:-1] - j[1:]
+        return bd_rhs(np.concatenate(([0.0], c)), config.model, config.closure)[1:]
 
     sol = solve_ivp(
         rhs, (0.0, config.t_end), gamma[1:], method="DOP853",
@@ -462,5 +421,5 @@ def _run_explicit(
     for k, t in enumerate(sol.t):
         c = np.maximum(sol.y[:, k], 0.0)
         recorder.record(t, c)
-        snapshots.append((float(t), _assemble(c, config, ells)))
+        snapshots.append((float(t), _assemble(c, config)))
     return recorder.series(config), snapshots

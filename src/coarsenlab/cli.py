@@ -6,7 +6,7 @@ Usage::
                --config <path> --out <dir> [--seed N] [--refine]
 
 Exit codes: 0 all checks passed, 1 check failure, 2 bad config,
-3 solver failure.
+3 solver failure (see :mod:`coarsenlab.harness`).
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ import argparse
 import json
 import sys
 
-from .harness import run_experiment
-
-_KINDS = ["bd", "classical", "diffusive", "sweep", "mc-check", "duality"]
+from .harness import KINDS, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cluster-coarsening experiments: kinetic, transport, "
                     "diffusive, and Monte Carlo solvers with built-in checks.",
     )
-    parser.add_argument("kind", choices=_KINDS, help="experiment to run")
+    parser.add_argument("kind", choices=list(KINDS), help="experiment to run")
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None,

@@ -1,9 +1,11 @@
 """Coarsening functionals and inequality checks shared by all solvers.
 
-Everything here works off either a solver state (for the pointwise moments) or
-a recorded :class:`TrajectorySeries` (for the time-dependent checks), never off
-solver internals, so the same checks apply to the discrete cluster system, the
-classical transport solver, and the diffusive finite-volume solver.
+Everything here works off either plain (size, weight) arrays (for the
+pointwise moments) or a recorded :class:`TrajectorySeries` (for the
+time-dependent checks), never off solver internals, so the same checks apply
+to the discrete cluster system, the classical transport solver, and the
+diffusive finite-volume solver.  :func:`write_csv` is the one CSV writer for
+every artifact.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import numpy as np
 
 __all__ = [
     "TrajectorySeries",
-    "mean_volume",
-    "energy_and_scale",
+    "moments",
+    "write_csv",
     "kohn_otto_report",
     "coarsening_rate",
 ]
@@ -51,58 +53,34 @@ class TrajectorySeries:
         return self.columns[name]
 
     def write_csv(self, path, order: list[str]) -> None:
-        """Write `t,<order...>` with '.' decimals, ',' delimiter, LF endings."""
+        """Write the columns ``t,<order...>`` with :func:`write_csv`."""
         data = np.column_stack([self.times] + [self.columns[k] for k in order])
-        header = ",".join(["t"] + order)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for row in data:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv(path, ",".join(["t"] + order), data)
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write rows of numbers as ``repr(float(v))``, ',' delimited, LF endings."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # pointwise moments
 
 
-def _weights(state) -> tuple[np.ndarray, np.ndarray]:
-    """(sizes, masses-per-bin) for either a grid state or a cluster state.
+def moments(x: np.ndarray, w: np.ndarray) -> tuple[float, float, float, float]:
+    """(N, mass, E, M): the 0-, 1-, 2/3- and 4/3-moments of weights w at sizes x.
 
-    Grid states expose cell averages ``cbar`` on a grid; the weight of cell i
-    is cbar_i * dx_i.  Cluster states expose densities ``c`` on ell = 1..ell_max
-    with the monomer slot already reflecting the closure (0 for the Dirichlet
-    system, so sums effectively start at ell = 2 there).
+    ``w`` is the number carried at each size: cell averages times cell widths
+    on a grid, or the cluster densities themselves for the discrete system.
     """
-    if hasattr(state, "cbar"):
-        x = state.grid.centers
-        return x, state.cbar * state.grid.widths
-    if hasattr(state, "c"):
-        ells = np.arange(1, len(state.c) + 1, dtype=float)
-        return ells, np.asarray(state.c, dtype=float)
-    raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
-def mean_volume(state) -> float:
-    """Mean cluster volume: first moment over zeroth moment."""
-    x, w = _weights(state)
     number = float(w.sum())
-    if number <= 0.0:
-        raise ValueError("empty distribution")
-    return float(x @ w) / number
-
-
-def energy_and_scale(state) -> tuple[float, float]:
-    """The 2/3-moment (energy) and the 4/3-moment (length scale).
-
-    Raises if the 4/3-moment is visibly unresolved: the top bin carrying more
-    than 1e-6 of the total signals a truncated divergent tail.
-    """
-    x, w = _weights(state)
-    e_terms = np.cbrt(x * x) * w
-    m_terms = np.cbrt(x) * x * w
-    m = float(m_terms.sum())
-    if m > 0.0 and m_terms[-1] > 1e-6 * m:
-        raise ValueError("4/3-moment tail not resolved on this grid")
-    return float(e_terms.sum()), m
+    mass = float(x @ w)
+    energy = float(np.cbrt(x * x) @ w)
+    scale = float((np.cbrt(x) * x) @ w)
+    return number, mass, energy, scale
 
 
 # ---------------------------------------------------------------------------

@@ -1,44 +1,94 @@
 """Experiment orchestration: configs, runs, checks, and artifact output.
 
-Each experiment kind reads a JSON config, runs the relevant solvers, writes
-``config.json`` (echo), ``series.csv``, ``snapshots/*.csv``, and
-``summary.json`` with a per-check pass/fail list, and reports an exit code:
-0 all checks pass, 1 check failure, 2 config error, 3 solver failure.
+``KINDS`` maps each experiment kind to a parser that reads and validates
+every field of its JSON config through one accessor, ``_get``, and returns
+the run.  A run writes ``config.json`` (echo), ``series.csv``,
+``snapshots/*.csv``, and ``summary.json`` with a per-check pass/fail list.
+``run_experiment`` maps the outcome to the exit code in one place: 0 all
+checks pass, 1 a check failed, 2 invalid config (a field missing, of the
+wrong JSON type, or failing validation; nothing runs), 3 any exception while
+running (``summary.json`` then records its type and message).
 All outputs are deterministic for a given config and seed.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
+import reprlib
+import sys
+import traceback
 
 import numpy as np
 
 from . import bd as bd_mod
 from . import diagnostics, initial_data, lsw_classical, lsw_diffusive, sde
+from .diagnostics import write_csv
 from .rates import RateModel, equilibrium_table
 
 __all__ = [
+    "KINDS",
     "ConfigError",
-    "SolverError",
     "run_experiment",
     "tail_distance",
     "tail_quantile_probes",
 ]
-
-_KINDS = ("bd", "classical", "diffusive", "sweep", "mc-check", "duality")
 
 
 class ConfigError(ValueError):
     pass
 
 
-class SolverError(RuntimeError):
-    pass
+Outcome = tuple[list[dict], dict]  # (checks, details) of one run
 
 
 # ---------------------------------------------------------------------------
-# helpers
+# config access
+
+_REQUIRED = object()
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
+               str: "a string", list: "a list", dict: "an object",
+               (str, list): "a string or a list"}
+_EXPONENTIAL = {"kind": "exponential-moment"}
+
+
+def _is(value, kind) -> bool:
+    """Whether a JSON value has type ``kind``; bools are not numbers."""
+    if kind is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _get(cfg: dict, name, kind, default=_REQUIRED, check=None):
+    """Field ``name`` of ``cfg`` as JSON type ``kind``: the one config accessor.
+
+    Raises ConfigError naming the field if it is missing and has no default,
+    has another JSON type, or fails ``check``.  ``check`` sees the value (or
+    the default) and raises ValueError to reject it; a non-None return
+    replaces the value.  Reads nested inside a check are named by their path.
+    """
+    label = f"[{name}]" if isinstance(name, int) else name
+    if name in cfg:
+        value = cfg[name]
+        if not _is(value, kind):
+            raise ConfigError(f"{label}: expected {_TYPE_NAMES[kind]}, "
+                              f"got {reprlib.repr(value)}")
+        if kind is float:
+            value = float(value)
+    elif default is _REQUIRED:
+        raise ConfigError(f"{label}: required field is missing")
+    else:
+        value = default
+    if check is not None:
+        try:
+            checked = check(value)
+        except ValueError as exc:
+            raise ConfigError(f"{label}: {exc}") from None
+        if checked is not None:
+            value = checked
+    return value
 
 
 def _require(cond: bool, message: str) -> None:
@@ -46,17 +96,60 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _write_csv(path, header: str, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+def _positive(value) -> None:
+    _require(value > 0, f"must be positive, got {value!r}")
+
+
+def _at_least(lo):
+    return lambda value: _require(value >= lo, f"must be >= {lo}, got {value!r}")
+
+
+def _one_of(*options):
+    return lambda value: _require(value in options, f"must be one of {options}, got {value!r}")
+
+
+def _items(kind, check=None):
+    """Check for a list field: every item read as JSON type ``kind``."""
+    def parse(values: list) -> list:
+        indexed = dict(enumerate(values))
+        return [_get(indexed, i, kind, check=check) for i in indexed]
+    return parse
+
+
+def _validated(run_cfg):
+    """``run_cfg`` once its own ``validate()`` passes, as a config error if not."""
+    try:
+        run_cfg.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return run_cfg
+
+
+def _initial_tail(spec: dict) -> initial_data.InitialTail:
+    kind = _get(spec, "kind", str)
+    if kind == "compact-bump":
+        _get(spec, "a", float)
+        _get(spec, "b", float)
+    elif kind == "table":
+        _get(spec, "x", list, check=_items(float))
+        _get(spec, "c", list, check=_items(float))
+    return initial_data.from_spec(spec)
+
+
+# ---------------------------------------------------------------------------
+# artifacts
 
 
 def _write_json(path, payload) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_snapshot(out_dir: str, name: str, header: str, rows) -> None:
+    snap_dir = os.path.join(out_dir, "snapshots")
+    os.makedirs(snap_dir, exist_ok=True)
+    write_csv(os.path.join(snap_dir, name), header, rows)
 
 
 def _check(name: str, passed: bool, **extra) -> dict:
@@ -100,100 +193,75 @@ def tail_distance(
     return float(np.max(np.abs(tail_eps - tail_cls))), table
 
 
-def _initial_tail(spec) -> initial_data.InitialTail:
-    _require(isinstance(spec, dict) and "kind" in spec,
-             "initial: expected a mapping with a 'kind' field")
-    try:
-        return initial_data.from_spec(spec)
-    except ValueError as exc:
-        raise ConfigError(f"initial: {exc}") from None
-
-
 # ---------------------------------------------------------------------------
 # bd experiment
 
 
-def _bd_initial(spec, model: RateModel, ell_max: int, closure_kind: str):
-    _require(isinstance(spec, dict) and "kind" in spec,
-             "initial: expected a mapping with a 'kind' field")
-    kind = spec["kind"]
-    gamma = np.zeros(ell_max)
+def _bin(ell_max: int):
+    """Check for one 'bins' entry [ell, value]; returns the pair."""
+    def parse(pair: list) -> tuple[int, float]:
+        _require(len(pair) == 2 and _is(pair[0], int) and _is(pair[1], float)
+                 and 2 <= pair[0] <= ell_max and pair[1] >= 0,
+                 f"expected [ell, value] with 2 <= ell <= {ell_max}, value >= 0")
+        return pair[0], float(pair[1])
+    return parse
+
+
+def _bd_initial(spec: dict, model: RateModel, ell_max: int) -> np.ndarray:
+    """gamma_ell on ell = 1..ell_max from an 'equilibrium' or a 'bins' spec."""
+    kind = _get(spec, "kind", str, check=_one_of("equilibrium", "bins"))
     if kind == "equilibrium":
-        c1 = float(spec.get("c1", 0.9 * model.z_s))
-        _require(0 < c1 <= model.z_s, "initial.c1 must lie in (0, z_s]")
-        gamma = equilibrium_table(model, ell_max).density(c1)
-    elif kind == "bins":
-        entries = spec.get("entries")
-        _require(isinstance(entries, list) and entries, "initial.entries must be a nonempty list")
-        for pair in entries:
-            _require(len(pair) == 2, "initial.entries items must be [ell, value]")
-            ell, val = int(pair[0]), float(pair[1])
-            _require(2 <= ell <= ell_max, f"initial.entries ell {ell} outside [2, ell_max]")
-            _require(val >= 0, "initial.entries values must be nonnegative")
-            gamma[ell - 1] = val
-        ells = np.arange(1, ell_max + 1)
-        mass = float(ells @ gamma)
-        _require(mass > 0, "initial.entries carry no mass")
-        gamma /= mass  # Dirichlet normalization: unit mass on ell >= 2
-    else:
-        raise ConfigError(f"initial.kind {kind!r} not valid for a bd run")
-    if closure_kind == "dirichlet":
-        gamma[0] = 0.0
-    return gamma
+        c1 = _get(spec, "c1", float, 0.9 * model.z_s, check=lambda v: _require(
+            0 < v <= model.z_s, "must lie in (0, z_s]"))
+        return equilibrium_table(model, ell_max).density(c1)
+    gamma = np.zeros(ell_max)
+    for ell, value in _get(spec, "entries", list, check=_items(list, _bin(ell_max))):
+        gamma[ell - 1] = value
+    mass = float(np.arange(1, ell_max + 1) @ gamma)
+    _require(mass > 0, "entries: carry no mass")
+    return gamma / mass  # Dirichlet normalization: unit mass on ell >= 2
 
 
-def _run_bd_experiment(cfg: dict, out_dir: str) -> tuple[list[dict], dict]:
-    model_cfg = cfg.get("model", {})
-    try:
-        model = RateModel(
-            a1=float(model_cfg.get("a1", 1.0)),
-            z_s=float(model_cfg.get("z_s", 1.0)),
-            q=float(model_cfg.get("q", 1.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from None
-    closure_cfg = cfg.get("closure", {"type": "dirichlet"})
-    closure_kind = closure_cfg.get("type")
-    _require(closure_kind in ("full", "dirichlet"), "closure.type must be 'full' or 'dirichlet'")
-    ell_max = int(cfg.get("ell_max", 400))
-    _require(ell_max >= 3, "ell_max must be >= 3")
-    gamma = _bd_initial(cfg.get("initial"), model, ell_max, closure_kind)
+def _bd_closure(spec: dict) -> tuple[str, float | None]:
+    kind = _get(spec, "type", str, check=_one_of("full", "dirichlet"))
+    return kind, _get(spec, "rho", float, None)
+
+
+def _parse_bd(cfg: dict, seed: int, refine: bool):
+    model = _get(cfg, "model", dict, {}, check=lambda m: RateModel(
+        *(_get(m, name, float, 1.0) for name in ("a1", "z_s", "q"))))
+    closure_kind, rho = _get(cfg, "closure", dict, {"type": "dirichlet"}, check=_bd_closure)
+    ell_max = _get(cfg, "ell_max", int, 400, check=_at_least(3))
+    gamma = _get(cfg, "initial", dict,
+                 check=lambda spec: _bd_initial(spec, model, ell_max))
     if closure_kind == "full":
-        ells = np.arange(1, ell_max + 1)
-        rho = float(closure_cfg.get("rho", ells @ gamma))
-        closure = bd_mod.FullClosure(rho=rho)
+        mass = float(np.arange(1, ell_max + 1) @ gamma)
+        closure = bd_mod.FullClosure(rho=mass if rho is None else rho)
     else:
+        gamma[0] = 0.0
         closure = bd_mod.DirichletClosure()
-    run_cfg = bd_mod.BdRunConfig(
+    return functools.partial(_run_bd, _validated(bd_mod.BdRunConfig(
         model=model,
         closure=closure,
         initial=gamma,
-        t_end=float(cfg.get("t_end", 10.0)),
-        dt_init=float(cfg.get("dt_init", 1e-3)),
-        scheme=cfg.get("scheme", "semi-implicit"),
-        output_stride=float(cfg.get("output_stride", 0.5)),
-    )
-    try:
-        run_cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
-        series, snapshots = bd_mod.run_bd(run_cfg)
-    except (bd_mod.BdRunError, RuntimeError) as exc:
-        raise SolverError(str(exc)) from None
+        t_end=_get(cfg, "t_end", float, 10.0),
+        dt_init=_get(cfg, "dt_init", float, 1e-3),
+        scheme=_get(cfg, "scheme", str, "semi-implicit"),
+        output_stride=_get(cfg, "output_stride", float, 0.5),
+    )))
 
+
+def _run_bd(run_cfg: bd_mod.BdRunConfig, out_dir: str) -> Outcome:
+    series, snapshots = bd_mod.run_bd(run_cfg)
     series.write_csv(os.path.join(out_dir, "series.csv"),
                      ["mass", "c1", "g", "Lambda"])
-    snap_dir = os.path.join(out_dir, "snapshots")
-    os.makedirs(snap_dir, exist_ok=True)
     for idx, (t, c) in enumerate(snapshots):
-        _write_csv(
-            os.path.join(snap_dir, f"bd_{idx:04d}.csv"), "t,ell,c",
-            [(t, ell, val) for ell, val in enumerate(c, start=1)],
-        )
+        _write_snapshot(out_dir, f"bd_{idx:04d}.csv", "t,ell,c",
+                        [(t, ell, val) for ell, val in enumerate(c, start=1)])
 
+    full = isinstance(run_cfg.closure, bd_mod.FullClosure)
     mass = series.column("mass")
-    mass_ref = closure.rho if closure_kind == "full" else 1.0
+    mass_ref = run_cfg.closure.rho if full else 1.0
     drift = float(np.max(np.abs(mass - mass_ref)))
     checks = [
         _check("mass_conservation", drift <= 1e-8 * max(mass_ref, 1.0),
@@ -201,15 +269,15 @@ def _run_bd_experiment(cfg: dict, out_dir: str) -> tuple[list[dict], dict]:
         _check("nonnegativity",
                min(float(np.min(c)) for _, c in snapshots) >= -1e-12),
     ]
-    if closure_kind == "dirichlet":
+    if not full:
         c1 = series.column("c1")
         g = series.column("g")
-        checks.append(_check("c1_above_saturation", bool(np.all(c1 > model.z_s)),
+        checks.append(_check("c1_above_saturation", bool(np.all(c1 > run_cfg.model.z_s)),
                              min_c1=float(np.min(c1))))
         checks.append(_check("g_strictly_decreasing", bool(np.all(np.diff(g) < 0)),
                              g_first=float(g[0]), g_last=float(g[-1])))
-    return checks, {"closure": closure_kind, "ell_max": ell_max,
-                    "mass_drift": drift}
+    return checks, {"closure": "full" if full else "dirichlet",
+                    "ell_max": len(run_cfg.initial), "mass_drift": drift}
 
 
 # ---------------------------------------------------------------------------
@@ -217,36 +285,28 @@ def _run_bd_experiment(cfg: dict, out_dir: str) -> tuple[list[dict], dict]:
 
 
 def _classical_config(cfg: dict) -> lsw_classical.ClassicalRunConfig:
-    tail = _initial_tail(cfg.get("initial", {"kind": "exponential-moment"}))
-    run_cfg = lsw_classical.ClassicalRunConfig(
-        tail=tail,
-        t_end=float(cfg.get("t_end", 1.0)),
-        dt=float(cfg.get("dt", 0.0125)),
-        panels=int(cfg.get("panels", 24)),
-        nodes_per_panel=int(cfg.get("nodes_per_panel", 8)),
-    )
-    try:
-        run_cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return run_cfg
+    return _validated(lsw_classical.ClassicalRunConfig(
+        tail=_get(cfg, "initial", dict, _EXPONENTIAL, check=_initial_tail),
+        t_end=_get(cfg, "t_end", float, 1.0),
+        dt=_get(cfg, "dt", float, 0.0125),
+        panels=_get(cfg, "panels", int, 24),
+        nodes_per_panel=_get(cfg, "nodes_per_panel", int, 8),
+    ))
 
 
-def _run_classical_experiment(cfg: dict, out_dir: str) -> tuple[list[dict], dict]:
-    run_cfg = _classical_config(cfg)
-    try:
-        series, history, solver = lsw_classical.run_classical(run_cfg)
-    except RuntimeError as exc:
-        raise SolverError(str(exc)) from None
+def _parse_classical(cfg: dict, seed: int, refine: bool):
+    return functools.partial(_run_classical, _classical_config(cfg))
+
+
+def _run_classical(run_cfg: lsw_classical.ClassicalRunConfig, out_dir: str) -> Outcome:
+    series, history, solver = lsw_classical.run_classical(run_cfg)
     series.write_csv(os.path.join(out_dir, "series.csv"),
                      ["L", "Lambda", "N", "mass_residual"])
-    snap_dir = os.path.join(out_dir, "snapshots")
-    os.makedirs(snap_dir, exist_ok=True)
     probes = tail_quantile_probes(run_cfg.tail)
     for idx, t in enumerate((0.0, run_cfg.t_end)):
         w = np.atleast_1d(solver.tail_value(probes, t))
-        _write_csv(os.path.join(snap_dir, f"tail_{idx:04d}.csv"), "t,x,w",
-                   [(t, x, val) for x, val in zip(probes, w)])
+        _write_snapshot(out_dir, f"tail_{idx:04d}.csv", "t,x,w",
+                        [(t, x, val) for x, val in zip(probes, w)])
     lam = series.column("Lambda")
     big_l = series.column("L")
     resid = float(np.max(np.abs(series.column("mass_residual"))))
@@ -263,27 +323,19 @@ def _run_classical_experiment(cfg: dict, out_dir: str) -> tuple[list[dict], dict
 # diffusive experiment
 
 
-def _diffusive_config(cfg: dict, eps: float | None = None) -> lsw_diffusive.DiffusiveRunConfig:
-    tail = _initial_tail(cfg.get("initial", {"kind": "exponential-moment"}))
-    eps_val = float(cfg["eps"] if eps is None else eps)
-    _require(0 < eps_val <= 1, "eps must lie in (0, 1]")
-    run_cfg = lsw_diffusive.DiffusiveRunConfig(
-        tail=tail,
-        eps=eps_val,
-        t_end=float(cfg.get("t_end", 1.0)),
-        x_max=cfg.get("x_max"),
-        n_cells=int(cfg.get("n_cells", 512)),
-        l_mode=cfg.get("l_mode", "conserve"),
-        limiter=bool(cfg.get("limiter", True)),
-        cfl=float(cfg.get("cfl", 0.5)),
-        output_stride=float(cfg.get("output_stride", 0.1)),
-        snapshot_times=tuple(cfg.get("snapshot_times", ())),
-    )
-    try:
-        run_cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return run_cfg
+def _diffusive_config(cfg: dict) -> lsw_diffusive.DiffusiveRunConfig:
+    return _validated(lsw_diffusive.DiffusiveRunConfig(
+        tail=_get(cfg, "initial", dict, _EXPONENTIAL, check=_initial_tail),
+        eps=_get(cfg, "eps", float),
+        t_end=_get(cfg, "t_end", float, 1.0),
+        x_max=_get(cfg, "x_max", float, None),
+        n_cells=_get(cfg, "n_cells", int, 512),
+        l_mode=_get(cfg, "l_mode", str, "conserve"),
+        limiter=_get(cfg, "limiter", bool, True),
+        cfl=_get(cfg, "cfl", float, 0.5),
+        output_stride=_get(cfg, "output_stride", float, 0.1),
+        snapshot_times=tuple(_get(cfg, "snapshot_times", list, [], check=_items(float))),
+    ))
 
 
 def _diffusive_checks(series: diagnostics.TrajectorySeries, conserve: bool) -> list[dict]:
@@ -311,20 +363,17 @@ def _diffusive_checks(series: diagnostics.TrajectorySeries, conserve: bool) -> l
     return checks
 
 
-def _run_diffusive_experiment(cfg: dict, out_dir: str) -> tuple[list[dict], dict]:
-    run_cfg = _diffusive_config(cfg)
-    try:
-        series, history, snapshots, solver = lsw_diffusive.run_diffusive(run_cfg)
-    except RuntimeError as exc:
-        raise SolverError(str(exc)) from None
+def _parse_diffusive(cfg: dict, seed: int, refine: bool):
+    return functools.partial(_run_diffusive, _diffusive_config(cfg))
+
+
+def _run_diffusive(run_cfg: lsw_diffusive.DiffusiveRunConfig, out_dir: str) -> Outcome:
+    series, history, snapshots, solver = lsw_diffusive.run_diffusive(run_cfg)
     series.write_csv(os.path.join(out_dir, "series.csv"),
                      ["L", "Lambda", "E", "M", "N", "mass_residual"])
-    snap_dir = os.path.join(out_dir, "snapshots")
-    os.makedirs(snap_dir, exist_ok=True)
     for idx, (t, cbar) in enumerate(snapshots):
-        _write_csv(os.path.join(snap_dir, f"density_{idx:04d}.csv"),
-                   "t,x_center,c",
-                   [(t, x, val) for x, val in zip(solver.grid.centers, cbar)])
+        _write_snapshot(out_dir, f"density_{idx:04d}.csv", "t,x_center,c",
+                        [(t, x, val) for x, val in zip(solver.grid.centers, cbar)])
     checks = _diffusive_checks(series, run_cfg.l_mode == "conserve")
     return checks, {"eps": run_cfg.eps, "L_end": float(series.column("L")[-1]),
                     "Lambda_end": float(series.column("Lambda")[-1])}
@@ -334,27 +383,34 @@ def _run_diffusive_experiment(cfg: dict, out_dir: str) -> tuple[list[dict], dict
 # sweep experiment (diffusive -> classical limit)
 
 
-def _run_sweep_experiment(cfg: dict, out_dir: str) -> tuple[list[dict], dict]:
-    ladder = [float(e) for e in cfg.get("eps_ladder", [0.2, 0.1, 0.05, 0.025])]
-    _require(len(ladder) >= 2, "eps_ladder needs at least two values")
-    _require(all(0 < e <= 1 for e in ladder), "eps_ladder values must lie in (0, 1]")
-    _require(all(a > b for a, b in zip(ladder, ladder[1:])),
-             "eps_ladder must be strictly decreasing")
-    big_t = float(cfg.get("T", 1.0))
-    margin = float(cfg.get("t_margin", 0.25))
-    t_end = big_t + margin
-    tail = _initial_tail(cfg.get("initial", {"kind": "exponential-moment"}))
-    stride = float(cfg.get("output_stride", 0.05))
+def _eps_ladder(values: list) -> list[float]:
+    ladder = _items(float)(values)
+    _require(len(ladder) >= 2 and all(a > b for a, b in zip(ladder, ladder[1:]))
+             and 0 < ladder[-1] and ladder[0] <= 1,
+             "needs at least two strictly decreasing values in (0, 1]")
+    return ladder
 
-    cls_cfg = lsw_classical.ClassicalRunConfig(
-        tail=tail, t_end=t_end, dt=float(cfg.get("classical_dt", 0.0125)),
-        panels=int(cfg.get("panels", 24)),
-        nodes_per_panel=int(cfg.get("nodes_per_panel", 8)),
-    )
-    try:
-        cls_series, _, cls_solver = lsw_classical.run_classical(cls_cfg)
-    except RuntimeError as exc:
-        raise SolverError(f"classical run: {exc}") from None
+
+def _parse_sweep(cfg: dict, seed: int, refine: bool):
+    ladder = _get(cfg, "eps_ladder", list, [0.2, 0.1, 0.05, 0.025], check=_eps_ladder)
+    big_t = _get(cfg, "T", float, 1.0, check=_positive)
+    t_end = big_t + _get(cfg, "t_margin", float, 0.25, check=_positive)
+    stride = _get(cfg, "output_stride", float, 0.05)
+    cls_cfg = _classical_config(
+        {**cfg, "t_end": t_end, "dt": _get(cfg, "classical_dt", float, 0.0125, check=_positive)})
+    diff_cfgs = [
+        _diffusive_config({**cfg, "eps": eps, "t_end": t_end, "output_stride": stride,
+                           "snapshot_times": [big_t]})
+        for eps in ladder
+    ]
+    return functools.partial(_run_sweep, cls_cfg, diff_cfgs, big_t, stride)
+
+
+def _run_sweep(cls_cfg: lsw_classical.ClassicalRunConfig,
+               diff_cfgs: list[lsw_diffusive.DiffusiveRunConfig],
+               big_t: float, stride: float, out_dir: str) -> Outcome:
+    t_end = cls_cfg.t_end
+    cls_series, _, cls_solver = lsw_classical.run_classical(cls_cfg)
     cls_series.write_csv(os.path.join(out_dir, "series.csv"),
                          ["L", "Lambda", "N", "mass_residual"])
     # resample the classical series onto the sweep stride for rate estimates
@@ -367,18 +423,10 @@ def _run_sweep_experiment(cfg: dict, out_dir: str) -> tuple[list[dict], dict]:
     rate_cls_sa = lsw_classical.rate_semi_analytic(cls_solver, big_t)
     rate_rel_err = abs(rate_cls_fd - rate_cls_sa) / abs(rate_cls_sa)
 
-    probes = tail_quantile_probes(tail)
-    snap_dir = os.path.join(out_dir, "snapshots")
-    os.makedirs(snap_dir, exist_ok=True)
+    probes = tail_quantile_probes(cls_cfg.tail)
     per_eps = []
-    for eps in ladder:
-        run_cfg = _diffusive_config(
-            {**cfg, "t_end": t_end, "output_stride": stride,
-             "snapshot_times": [big_t]}, eps=eps)
-        try:
-            series, _, snapshots, solver = lsw_diffusive.run_diffusive(run_cfg)
-        except RuntimeError as exc:
-            raise SolverError(f"diffusive run eps={eps}: {exc}") from None
+    for run_cfg in diff_cfgs:
+        series, _, snapshots, solver = lsw_diffusive.run_diffusive(run_cfg)
         t_snap, cbar = snapshots[0]
         dist, table = tail_distance(solver, cbar, cls_solver, big_t, probes)
         l_eps = np.interp(cls_series.times, series.times, series.column("L"))
@@ -388,15 +436,14 @@ def _run_sweep_experiment(cfg: dict, out_dir: str) -> tuple[list[dict], dict]:
         )))
         rate_eps, _ = diagnostics.coarsening_rate(series, big_t)
         per_eps.append({
-            "eps": eps,
+            "eps": run_cfg.eps,
             "tail_distance": dist,
             "L_gap_max": l_gap,
             "rate_gap": abs(rate_eps - rate_cls_sa),
             "probe_table": table,
         })
-        _write_csv(os.path.join(snap_dir, f"density_eps{eps}.csv"),
-                   "t,x_center,c",
-                   [(t_snap, x, v) for x, v in zip(solver.grid.centers, cbar)])
+        _write_snapshot(out_dir, f"density_eps{run_cfg.eps}.csv", "t,x_center,c",
+                        [(t_snap, x, v) for x, v in zip(solver.grid.centers, cbar)])
 
     dists = [row["tail_distance"] for row in per_eps]
     gaps = [row["L_gap_max"] for row in per_eps]
@@ -421,42 +468,60 @@ def _run_sweep_experiment(cfg: dict, out_dir: str) -> tuple[list[dict], dict]:
 # mc-check experiment
 
 
-def _run_mc_experiment(cfg: dict, out_dir: str, seed: int) -> tuple[list[dict], dict]:
-    eps = float(cfg.get("eps", 0.25))
-    _require(eps > 0, "eps must be positive")
-    big_t = float(cfg.get("T", 0.25))
-    l_const = float(cfg.get("L", 1.0))
-    n_paths = int(cfg.get("n_paths", 200_000))
-    dt = float(cfg.get("dt", 1e-3))
-    probes = [float(x) for x in cfg.get("probes", [0.25, 0.5, 1.0, 1.5, 2.5])]
-    n_cells = int(cfg.get("n_cells", 1024))
-    grid_tol = float(cfg.get("grid_tol", 2e-3))
-    payoff = cfg.get("payoff", "one")
+def _payoff(spec):
+    """'one', 'cuberoot', or the JSON list ["indicator", x0] as a tuple."""
+    if spec in ("one", "cuberoot"):
+        return spec
+    if isinstance(spec, list) and len(spec) == 2 and spec[0] == "indicator" \
+            and _is(spec[1], float):
+        return ("indicator", float(spec[1]))
+    raise ConfigError(f'expected "one", "cuberoot" or ["indicator", x0], '
+                      f"got {reprlib.repr(spec)}")
 
-    history = lsw_classical.LHistory.constant(l_const, big_t)
-    grid = lsw_diffusive.Grid.log_graded(eps, float(cfg.get("x_max", 30.0)), n_cells)
-    try:
-        w_pde = lsw_diffusive.adjoint_solve(
-            sde.payoff_function(payoff), big_t, history, eps, grid)
-    except RuntimeError as exc:
-        raise SolverError(str(exc)) from None
 
+def _parse_mc(cfg: dict, seed: int, refine: bool):
+    eps = _get(cfg, "eps", float, 0.25, check=_positive)
+    big_t = _get(cfg, "T", float, 0.25, check=_positive)
+    n_cells = _get(cfg, "n_cells", int, 1024, check=_at_least(2))
+    mc_cfg = sde.McConfig(
+        eps=eps,
+        history=_get(cfg, "L", float, 1.0,
+                     check=lambda v: lsw_classical.LHistory.constant(v, big_t)),
+        T=big_t,
+        n_paths=_get(cfg, "n_paths", int, 200_000, check=_at_least(1)),
+        dt=_get(cfg, "dt", float, 1e-3, check=_positive),
+        seed=seed,
+    )
+    return functools.partial(
+        _run_mc, mc_cfg,
+        _get(cfg, "payoff", (str, list), "one", check=_payoff),
+        _get(cfg, "probes", list, [0.25, 0.5, 1.0, 1.5, 2.5], check=_items(float)),
+        _get(cfg, "x_max", float, 30.0,
+             check=lambda v: lsw_diffusive.Grid.log_graded(eps, v, n_cells)),
+        _get(cfg, "grid_tol", float, 2e-3, check=_at_least(0.0)),
+    )
+
+
+def _run_mc(mc_cfg: sde.McConfig, payoff, probes: list[float],
+            grid: lsw_diffusive.Grid, grid_tol: float,
+            out_dir: str) -> Outcome:
+    w_pde = lsw_diffusive.adjoint_solve(
+        sde.payoff_function(payoff), mc_cfg.T, mc_cfg.history, mc_cfg.eps, grid)
     records = []
     agree = 0
     for i, x0 in enumerate(probes):
-        mc_cfg = sde.McConfig(eps=eps, history=history, T=big_t,
-                              n_paths=n_paths, dt=dt, seed=seed + i)
-        est = sde.estimate_survival_payoff(mc_cfg, payoff, x0)
+        est = sde.estimate_survival_payoff(
+            dataclasses.replace(mc_cfg, seed=mc_cfg.seed + i), payoff, x0)
         pde_val = float(np.interp(x0, grid.centers, w_pde))
         gap = abs(est.mean - pde_val)
         band = 3.0 * (est.stderr + grid_tol)
         ok = gap <= band
         agree += ok
         records.append({
-            "payoff": payoff if isinstance(payoff, str) else "custom",
-            "x_start": x0, "T": big_t, "eps": eps, "n_paths": n_paths,
-            "mean": est.mean, "stderr": est.stderr, "seed": seed + i,
-            "pde": pde_val, "gap": gap, "band": band, "within_band": ok,
+            "payoff": payoff, "x_start": x0, "T": mc_cfg.T, "eps": mc_cfg.eps,
+            "n_paths": mc_cfg.n_paths, "mean": est.mean, "stderr": est.stderr,
+            "seed": mc_cfg.seed + i, "pde": pde_val, "gap": gap, "band": band,
+            "within_band": ok,
         })
     _write_json(os.path.join(out_dir, "mc_estimates.json"), records)
     checks = [
@@ -470,24 +535,25 @@ def _run_mc_experiment(cfg: dict, out_dir: str, seed: int) -> tuple[list[dict], 
 # duality experiment
 
 
-def _duality_residuals(cfg: dict, n_cells: int) -> dict:
-    tail = _initial_tail(cfg.get("initial", {"kind": "exponential-moment"}))
-    eps = float(cfg.get("eps", 0.25))
-    big_t = float(cfg.get("T", 0.5))
-    run_cfg = lsw_diffusive.DiffusiveRunConfig(
-        tail=tail, eps=eps, t_end=big_t,
-        x_max=cfg.get("x_max"),
-        n_cells=n_cells, l_mode=cfg.get("l_mode", "conserve"),
-        limiter=bool(cfg.get("limiter", False)),
-        cfl=float(cfg.get("cfl", 0.5)),
-        output_stride=big_t,
+def _parse_duality(cfg: dict, seed: int, refine: bool):
+    n_cells = _get(cfg, "n_cells", int, 2048)
+    big_t = _get(cfg, "T", float, 0.5, check=_positive)
+    base = {"eps": 0.25, "limiter": False, **cfg, "t_end": big_t,
+            "output_stride": big_t, "snapshot_times": []}
+    runs = [_diffusive_config({**base, "n_cells": n})
+            for n in ((n_cells, 2 * n_cells) if refine else (n_cells,))]
+    return functools.partial(
+        _run_duality, runs,
+        _get(cfg, "tolerance", float, 1e-4, check=_positive),
+        _get(cfg, "indicator_x0", float, 1.0),
     )
-    run_cfg.validate()
+
+
+def _duality_residuals(run_cfg: lsw_diffusive.DiffusiveRunConfig, x0_ind: float) -> dict:
     series, history, snapshots, solver = lsw_diffusive.run_diffusive(run_cfg)
     _, c_final = snapshots[-1]
     grid = solver.grid
-    c0 = initial_data.cell_averages(tail, grid.edges, normalize=True)
-    x0_ind = float(cfg.get("indicator_x0", 1.0))
+    c0 = initial_data.cell_averages(run_cfg.tail, grid.edges, normalize=True)
     payoffs = {
         "one": np.ones(grid.n_cells),
         "cuberoot": np.cbrt(grid.centers),
@@ -495,31 +561,24 @@ def _duality_residuals(cfg: dict, n_cells: int) -> dict:
     }
     out = {}
     for name, w_t in payoffs.items():
-        w_0 = lsw_diffusive.adjoint_solve(w_t, big_t, history, eps, grid)
+        w_0 = lsw_diffusive.adjoint_solve(w_t, run_cfg.t_end, history, run_cfg.eps, grid)
         lhs = float((w_t * c_final) @ grid.widths)
         rhs = float((w_0 * c0) @ grid.widths)
         out[name] = {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
     return out
 
 
-def _run_duality_experiment(cfg: dict, out_dir: str, refine: bool) -> tuple[list[dict], dict]:
-    n_cells = int(cfg.get("n_cells", 2048))
-    tol = float(cfg.get("tolerance", 1e-4))
-    try:
-        base = _duality_residuals(cfg, n_cells)
-    except RuntimeError as exc:
-        raise SolverError(str(exc)) from None
+def _run_duality(runs: list[lsw_diffusive.DiffusiveRunConfig], tol: float,
+                 x0_ind: float, out_dir: str) -> Outcome:
+    base = _duality_residuals(runs[0], x0_ind)
     checks = [
         _check(f"duality_residual_{name}", vals["residual"] <= tol,
                residual=vals["residual"], tolerance=tol)
         for name, vals in base.items()
     ]
-    summary = {"n_cells": n_cells, "residuals": base}
-    if refine:
-        try:
-            fine = _duality_residuals(cfg, 2 * n_cells)
-        except RuntimeError as exc:
-            raise SolverError(str(exc)) from None
+    summary = {"n_cells": runs[0].n_cells, "residuals": base}
+    if len(runs) > 1:
+        fine = _duality_residuals(runs[1], x0_ind)
         ratios = {
             name: fine[name]["residual"] / max(base[name]["residual"], 1e-300)
             for name in base
@@ -537,42 +596,39 @@ def _run_duality_experiment(cfg: dict, out_dir: str, refine: bool) -> tuple[list
 # ---------------------------------------------------------------------------
 # entry point
 
+# kind -> parser(config, seed, refine) returning the run, a callable of out_dir
+KINDS = {
+    "bd": _parse_bd,
+    "classical": _parse_classical,
+    "diffusive": _parse_diffusive,
+    "sweep": _parse_sweep,
+    "mc-check": _parse_mc,
+    "duality": _parse_duality,
+}
+
 
 def run_experiment(config: dict, out_dir: str, seed: int | None = None,
                    refine: bool = False) -> int:
-    """Execute one experiment; returns the process exit code."""
+    """Parse, run and check one experiment; returns the process exit code."""
     try:
         _require(isinstance(config, dict), "config must be a JSON object")
-        kind = config.get("kind")
-        _require(kind in _KINDS, f"kind must be one of {_KINDS}, got {kind!r}")
-        seed_val = int(config.get("seed", 0) if seed is None else seed)
-        os.makedirs(out_dir, exist_ok=True)
-        echo = dict(config)
-        echo["seed"] = seed_val
-        _write_json(os.path.join(out_dir, "config.json"), echo)
-
-        if kind == "bd":
-            checks, details = _run_bd_experiment(config, out_dir)
-        elif kind == "classical":
-            checks, details = _run_classical_experiment(config, out_dir)
-        elif kind == "diffusive":
-            checks, details = _run_diffusive_experiment(config, out_dir)
-        elif kind == "sweep":
-            checks, details = _run_sweep_experiment(config, out_dir)
-        elif kind == "mc-check":
-            checks, details = _run_mc_experiment(config, out_dir, seed_val)
-        else:
-            checks, details = _run_duality_experiment(config, out_dir, refine)
+        kind = _get(config, "kind", str, check=_one_of(*KINDS))
+        seed_val = _get(config, "seed", int, 0) if seed is None else seed
+        run = KINDS[kind](config, seed_val, refine)
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 2
-    except SolverError as exc:
-        print(f"solver failure: {exc}")
-        try:
-            _write_json(os.path.join(out_dir, "summary.json"),
-                        {"kind": config.get("kind"), "error": str(exc)})
-        except OSError:
-            pass
+
+    os.makedirs(out_dir, exist_ok=True)
+    _write_json(os.path.join(out_dir, "config.json"), {**config, "seed": seed_val})
+    try:
+        checks, details = run(out_dir)
+    except Exception as exc:
+        traceback.print_exc()  # to stderr; stdout and summary.json get the short form
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        print(f"solver failure: {error['type']}: {error['message']}")
+        _write_json(os.path.join(out_dir, "summary.json"),
+                    {"kind": kind, "seed": seed_val, "error": error})
         return 3
 
     all_passed = all(c["passed"] for c in checks)

@@ -165,7 +165,7 @@ class ClassicalRunConfig:
         if self.t_end <= 0 or self.dt <= 0:
             raise ValueError("t_end and dt must be positive")
         if self.panels < 1 or self.nodes_per_panel < 2:
-            raise ValueError("need at least 1 panel and 2 nodes per panel")
+            raise ValueError("need panels >= 1 and nodes_per_panel >= 2")
 
 
 class ClassicalSolver:

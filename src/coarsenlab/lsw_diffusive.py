@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .diagnostics import TrajectorySeries
+from .diagnostics import TrajectorySeries, moments
 from .initial_data import InitialTail, cell_averages
 from .lsw_classical import LHistory
 
@@ -292,6 +292,12 @@ class DiffusiveRunConfig:
             raise ValueError(f"unknown L mode {self.l_mode!r}")
         if self.n_cells < 16:
             raise ValueError("n_cells too small")
+        if self.x_max is not None and self.x_max <= self.eps:
+            raise ValueError("x_max must exceed eps")
+        if self.output_stride <= 0:
+            raise ValueError("output_stride must be positive")
+        if any(not 0 < s <= self.t_end for s in self.snapshot_times):
+            raise ValueError("snapshot_times must lie in (0, t_end]")
 
 
 class DiffusiveSolver:
@@ -389,12 +395,7 @@ class DiffusiveSolver:
 
     def _row(self) -> tuple:
         st = self.state
-        x = self.grid.centers
-        w = st.cbar * self.grid.widths
-        number = float(w.sum())
-        mass = float(x @ w)
-        energy = float(np.cbrt(x * x) @ w)
-        scale = float((np.cbrt(x) * x) @ w)
+        number, mass, energy, scale = moments(self.grid.centers, st.cbar * self.grid.widths)
         lam = mass / number if number > 0 else np.nan
         return (st.t, st.L, lam, energy, scale, number, mass)
 

@@ -21,78 +21,68 @@ class TestFlux:
     def test_equilibrium_fluxes_vanish(self):
         tab = equilibrium_table(MODEL, 30)
         c1 = 0.7
-        state = bd.DiscreteState(c=tab.density(c1), t=0.0)
+        c = tab.density(c1)
         for ell in range(1, 30):
-            assert bd.bd_flux(state, MODEL, c1, ell) == pytest.approx(0.0, abs=1e-15)
+            assert bd.bd_flux(c, MODEL, c1, ell) == pytest.approx(0.0, abs=1e-15)
 
     def test_pure_attachment(self):
         c = np.zeros(5)
         c[0] = 1.0
-        state = bd.DiscreteState(c=c, t=0.0)
-        assert bd.bd_flux(state, MODEL, 1.0, 1) == pytest.approx(MODEL.a1)
+        assert bd.bd_flux(c, MODEL, 1.0, 1) == pytest.approx(MODEL.a1)
 
     def test_hand_value(self):
         c = np.array([1.5, 0.1, 0.05, 0.0])
-        state = bd.DiscreteState(c=c, t=0.0)
         expected = 2 ** (1 / 3) * 1.5 * 0.1 - 3 ** (1 / 3) * (1 + 3 ** (-1 / 3)) * 0.05
-        assert bd.bd_flux(state, MODEL, 1.5, 2) == pytest.approx(expected, abs=1e-12)
+        assert bd.bd_flux(c, MODEL, 1.5, 2) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.066876, abs=1e-6)
 
     def test_cutoff_flux_is_zero(self):
-        state = bd.DiscreteState(c=np.ones(6), t=0.0)
-        assert bd.bd_flux(state, MODEL, 1.0, 6) == 0.0
+        assert bd.bd_flux(np.ones(6), MODEL, 1.0, 6) == 0.0
 
     def test_out_of_range(self):
-        state = bd.DiscreteState(c=np.ones(6), t=0.0)
         with pytest.raises(ValueError):
-            bd.bd_flux(state, MODEL, 1.0, 7)
+            bd.bd_flux(np.ones(6), MODEL, 1.0, 7)
 
 
 class TestClosures:
+    # the closures take the cluster densities c_ell for ell = 2..ell_max
+
     def test_full_all_monomers(self):
-        state = bd.DiscreteState(c=np.zeros(10), t=0.0)
-        assert bd.monomer_closure_full(state, 1.0) == 1.0
+        assert bd.monomer_closure_full(np.zeros(9), 1.0) == 1.0
 
     def test_full_clamp(self):
-        c = np.zeros(10)
-        c[1] = 0.5  # ell=2 carries mass 1
-        state = bd.DiscreteState(c=c, t=0.0)
-        assert bd.monomer_closure_full(state, 1.0) == 0.0
+        c = np.zeros(9)
+        c[0] = 0.5  # ell=2 carries mass 1
+        assert bd.monomer_closure_full(c, 1.0) == 0.0
 
     def test_full_arithmetic(self):
-        c = np.zeros(10)
-        c[1] = 0.25
-        state = bd.DiscreteState(c=c, t=0.0)
-        assert bd.monomer_closure_full(state, 2.0) == pytest.approx(1.5)
+        c = np.zeros(9)
+        c[0] = 0.25
+        assert bd.monomer_closure_full(c, 2.0) == pytest.approx(1.5)
 
     def test_dirichlet_hand_value(self):
-        c = np.zeros(10)
-        c[1] = 0.5
-        state = bd.DiscreteState(c=c, t=0.0)
+        c = np.zeros(9)
+        c[0] = 0.5
         expected = 1 + (0.5 + (2 ** (1 / 3) + 1) * 0.5) / (2 ** (1 / 3) * 0.5)
-        got = bd.monomer_closure_dirichlet(state, MODEL)
+        got = bd.monomer_closure_dirichlet(c, MODEL)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(3.587401, abs=1e-6)
 
     def test_dirichlet_single_large_bin(self):
         # one occupied bin at large size recovers c1 = z_s + q / size^{1/3}
-        c = np.zeros(500)
-        c[399] = 0.01
-        state = bd.DiscreteState(c=c, t=0.0)
-        got = bd.monomer_closure_dirichlet(state, MODEL)
+        c = np.zeros(499)
+        c[398] = 0.01  # ell = 400
+        got = bd.monomer_closure_dirichlet(c, MODEL)
         assert got == pytest.approx(1.0 + 400 ** (-1 / 3), rel=1e-12)
 
     def test_dirichlet_exceeds_saturation(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            c = np.concatenate(([0.0], rng.random(50)))
-            state = bd.DiscreteState(c=c, t=0.0)
-            assert bd.monomer_closure_dirichlet(state, MODEL) > MODEL.z_s
+            assert bd.monomer_closure_dirichlet(rng.random(50), MODEL) > MODEL.z_s
 
     def test_dirichlet_degenerate(self):
-        state = bd.DiscreteState(c=np.zeros(10), t=0.0)
         with pytest.raises(ZeroDivisionError):
-            bd.monomer_closure_dirichlet(state, MODEL)
+            bd.monomer_closure_dirichlet(np.zeros(9), MODEL)
 
 
 class TestRhs:
@@ -100,8 +90,7 @@ class TestRhs:
         tab = equilibrium_table(MODEL, 40)
         c = tab.density(0.6)
         rho = float(np.arange(1, 41) @ c)
-        state = bd.DiscreteState(c=c, t=0.0)
-        dc = bd.bd_rhs(state, MODEL, bd.FullClosure(rho=rho))
+        dc = bd.bd_rhs(c, MODEL, bd.FullClosure(rho=rho))
         assert np.max(np.abs(dc)) < 1e-15
 
     def test_full_mass_derivative_vanishes(self):
@@ -111,8 +100,7 @@ class TestRhs:
             c = rng.random(30) * 0.01
             rho = float(ells @ c) + 0.5
             c[0] = 0.0
-            state = bd.DiscreteState(c=c, t=0.0)
-            dc = bd.bd_rhs(state, MODEL, bd.FullClosure(rho=rho))
+            dc = bd.bd_rhs(c, MODEL, bd.FullClosure(rho=rho))
             # total mass including the monomer slot is conserved
             assert abs(float(ells @ dc)) < 1e-13
 
@@ -124,12 +112,11 @@ class TestRhs:
             c = rng.random(30) * 0.01
             c[0] = 0.0
             rho = float(ells @ c) + 0.3
-            state = bd.DiscreteState(c=c, t=0.0)
-            c1 = bd.monomer_closure_full(state, rho)
-            state.c[0] = c1
-            dc = bd.bd_rhs(state, MODEL, bd.FullClosure(rho=rho))
+            c1 = bd.monomer_closure_full(c[1:], rho)
+            c[0] = c1
+            dc = bd.bd_rhs(c, MODEL, bd.FullClosure(rho=rho))
             fluxes = np.array(
-                [bd.bd_flux(state, MODEL, c1, ell) for ell in range(1, 31)]
+                [bd.bd_flux(c, MODEL, c1, ell) for ell in range(1, 31)]
             )
             lhs = float(ells[1:] @ dc[1:])
             rhs = fluxes[0] + fluxes.sum()
@@ -143,8 +130,7 @@ class TestRhs:
         for _ in range(10):
             c = np.zeros(40)
             c[1:20] = rng.random(19) * 0.01
-            state = bd.DiscreteState(c=c, t=0.0)
-            dc = bd.bd_rhs(state, MODEL, bd.DirichletClosure())
+            dc = bd.bd_rhs(c, MODEL, bd.DirichletClosure())
             assert abs(float(ells @ dc)) < 1e-14
 
 

@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 from coarsenlab import initial_data
-from coarsenlab.bd import DiscreteState
 from coarsenlab.diagnostics import (
     TrajectorySeries,
     coarsening_rate,
-    energy_and_scale,
     kohn_otto_report,
-    mean_volume,
+    moments,
 )
-from coarsenlab.lsw_diffusive import ContinuousState, Grid
 
 # Moments of c0 = x e^{-x}/2: the 2/3-moment is Gamma(8/3)/2 and the
 # 4/3-moment is Gamma(10/3)/2 (mpmath, 50 digits).
@@ -18,13 +15,17 @@ E_EXPONENTIAL = 0.7522877441257714
 M_EXPONENTIAL = 1.3890792402188857
 
 
-def _exp_grid_state(n_cells=3000, x_max=60.0):
+def _exp_grid_weights(n_cells=3000, x_max=60.0):
+    """(cell centers, number per cell) for the exponential-moment profile."""
     edges = np.linspace(0.0, x_max, n_cells + 1)
-    grid = Grid(edges=edges)
     cbar = initial_data.cell_averages(
         initial_data.exponential_moment(), edges, normalize=False
     )
-    return ContinuousState(cbar=cbar, t=0.0, eps=0.1, L=1.0, grid=grid)
+    return 0.5 * (edges[:-1] + edges[1:]), cbar * np.diff(edges)
+
+
+def _sizes(n):
+    return np.arange(1, n + 1, dtype=float)
 
 
 class TestTrajectorySeries:
@@ -52,46 +53,42 @@ class TestTrajectorySeries:
 
 
 class TestMeanVolume:
+    """Mean volume = mass / N from :func:`moments`."""
+
     def test_discrete_hand_value(self):
         # one cluster species of size 2: mean volume is 2
-        state = DiscreteState(c=np.array([0.0, 0.5]), t=0.0)
-        assert mean_volume(state) == pytest.approx(2.0)
+        number, mass, _, _ = moments(_sizes(2), np.array([0.0, 0.5]))
+        assert mass / number == pytest.approx(2.0)
 
     def test_discrete_mixture(self):
-        c = np.array([1.0, 0.0, 1.0])  # sizes 1 and 3, equal numbers
-        assert mean_volume(DiscreteState(c=c, t=0.0)) == pytest.approx(2.0)
+        # sizes 1 and 3, equal numbers
+        number, mass, _, _ = moments(_sizes(3), np.array([1.0, 0.0, 1.0]))
+        assert mass / number == pytest.approx(2.0)
 
     def test_grid_state(self):
-        assert mean_volume(_exp_grid_state()) == pytest.approx(2.0, rel=1e-4)
+        number, mass, _, _ = moments(*_exp_grid_weights())
+        assert mass / number == pytest.approx(2.0, rel=1e-4)
 
     def test_empty_distribution(self):
-        state = DiscreteState(c=np.zeros(5), t=0.0)
-        with pytest.raises(ValueError):
-            mean_volume(state)
-
-    def test_unsupported_type(self):
-        with pytest.raises(TypeError):
-            mean_volume(object())
+        # every moment of an empty distribution is 0; callers report the
+        # mean volume of such a state as NaN rather than divide
+        assert moments(_sizes(5), np.zeros(5)) == (0.0, 0.0, 0.0, 0.0)
 
 
 class TestEnergyAndScale:
+    """E (2/3-moment) and M (4/3-moment) from :func:`moments`."""
+
     def test_exponential_oracles(self):
-        e, m = energy_and_scale(_exp_grid_state())
+        _, _, e, m = moments(*_exp_grid_weights())
         assert e == pytest.approx(E_EXPONENTIAL, rel=2e-4)
         assert m == pytest.approx(M_EXPONENTIAL, rel=2e-4)
 
     def test_discrete_hand_value(self):
         c = np.zeros(12)
-        c[7] = 0.125  # size 8, with empty bins above so the tail is resolved
-        e, m = energy_and_scale(DiscreteState(c=c, t=0.0))
+        c[7] = 0.125  # size 8
+        _, _, e, m = moments(_sizes(12), c)
         assert e == pytest.approx(0.125 * 4.0)
         assert m == pytest.approx(0.125 * 16.0)
-
-    def test_unresolved_tail_rejected(self):
-        state = _exp_grid_state()
-        state.cbar[-1] = 1.0
-        with pytest.raises(ValueError):
-            energy_and_scale(state)
 
 
 def _power_law_series(t_end=50.0, n=400, e0=1.2, m0=1.0):

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from coarsenlab import cli, initial_data
-from coarsenlab.harness import run_experiment, tail_quantile_probes
+from coarsenlab import cli, initial_data, lsw_diffusive
+from coarsenlab.harness import KINDS, run_experiment, tail_quantile_probes
 
 
 def _read_header(path):
@@ -31,6 +36,26 @@ class TestTailProbes:
         assert np.allclose(tail.w0(probes), levels, atol=1e-8)
 
 
+# Malformed configs with one fault each: every one must exit 2 and name the
+# faulty field (seed is read for every kind).
+CONFIG_FAULTS = [
+    ("diffusive", {}, "eps"),
+    ("diffusive", {"eps": 0.2, "n_cells": "abc"}, "n_cells"),
+    ("diffusive", {"eps": 0.2, "x_max": 0.05}, "x_max"),
+    ("duality", {"n_cells": 8}, "n_cells"),
+    ("bd", {"initial": {"kind": "bins", "entries": [[2, "x"]]}}, "entries"),
+    ("bd", {"closure": "full"}, "closure"),
+    ("mc-check", {"n_paths": "abc"}, "n_paths"),
+    ("mc-check", {"payoff": "nope"}, "payoff"),
+    ("sweep", {"eps_ladder": "abc"}, "eps_ladder"),
+    ("classical", {"panels": "x"}, "panels"),
+    ("classical", {"initial": {"kind": "compact-bump"}}, "initial"),
+] + [
+    (kind, {"seed": seed}, "seed")
+    for kind in KINDS for seed in ("abc", [1])
+]
+
+
 class TestConfigErrors:
     def test_unknown_kind(self, tmp_path):
         assert run_experiment({"kind": "nope"}, str(tmp_path)) == 2
@@ -46,8 +71,107 @@ class TestConfigErrors:
         }
         assert run_experiment(cfg, str(tmp_path)) == 2
 
+    @pytest.mark.parametrize(
+        "kind, fields, field", CONFIG_FAULTS,
+        ids=[f"{k}-{json.dumps(f)}" for k, f, _ in CONFIG_FAULTS],
+    )
+    def test_exits_2_naming_the_field(self, kind, fields, field, tmp_path, capsys):
+        assert run_experiment({"kind": kind, **fields}, str(tmp_path)) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("config error:") and field in out
+        assert not os.listdir(tmp_path)  # nothing runs, nothing is written
+
+    def test_cli_exits_2(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"eps": 0.2, "x_max": 0.05}))
+        assert cli.main(["diffusive", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 2
+
+
+# A tiny valid config per kind, the fields a mutation may delete (required,
+# no default) and the fields that must be positive.
+TINY = {
+    "bd": ({"ell_max": 20, "initial": {"kind": "bins", "entries": [[2, 1.0]]},
+            "t_end": 0.1, "dt_init": 1e-3, "output_stride": 0.1},
+           ["initial"], ["ell_max", "t_end", "dt_init", "output_stride"]),
+    "classical": ({"t_end": 0.05, "dt": 0.025, "panels": 2, "nodes_per_panel": 2},
+                  [], ["t_end", "dt", "panels", "nodes_per_panel"]),
+    "diffusive": ({"eps": 0.5, "t_end": 0.05, "n_cells": 16, "cfl": 0.5,
+                   "output_stride": 0.05, "x_max": 10.0},
+                  ["eps"], ["eps", "t_end", "n_cells", "cfl", "output_stride", "x_max"]),
+    "sweep": ({"eps_ladder": [0.5, 0.25], "T": 0.2, "t_margin": 0.1,
+               "output_stride": 0.05, "n_cells": 16, "classical_dt": 0.05,
+               "panels": 2, "nodes_per_panel": 2},
+              [], ["T", "t_margin", "output_stride", "n_cells", "classical_dt",
+                   "panels", "nodes_per_panel"]),
+    "mc-check": ({"eps": 0.25, "T": 0.01, "L": 1.0, "n_paths": 10, "dt": 0.005,
+                  "probes": [1.0], "n_cells": 16, "x_max": 5.0},
+                 [], ["eps", "T", "L", "n_paths", "dt", "n_cells", "x_max"]),
+    "duality": ({"eps": 0.5, "T": 0.01, "n_cells": 16, "tolerance": 1e-4,
+                 "x_max": 5.0},
+                [], ["eps", "T", "n_cells", "tolerance", "x_max"]),
+}
+
+_SMALL_NUMBERS = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), _SMALL_NUMBERS, st.text(max_size=4),
+    st.lists(_SMALL_NUMBERS, max_size=2),
+    st.dictionaries(st.text(max_size=2), _SMALL_NUMBERS, max_size=1),
+)
+
+
+def _same_json_type(value, like) -> bool:
+    if isinstance(like, float):  # a number field also takes integers
+        return type(value) in (int, float)
+    return type(value) is type(like)
+
+
+@st.composite
+def _broken_config(draw, kind):
+    """The tiny config of ``kind`` with one field deleted or made invalid."""
+    valid, required, positive = TINY[kind]
+    mutations = ([("delete", f) for f in required]
+                 + [("retype", f) for f in valid]
+                 + [("nonpositive", f) for f in positive])
+    how, field = draw(st.sampled_from(mutations))
+    cfg = {"kind": kind, **valid}
+    if how == "delete":
+        del cfg[field]
+    elif how == "retype":
+        cfg[field] = draw(_JSON_VALUES.filter(
+            lambda v: not _same_json_type(v, valid[field])))
+    else:
+        cfg[field] = draw(st.one_of(st.integers(-3, 0), st.floats(-3.0, 0.0)))
+    return field, cfg
+
+
+class TestConfigProperties:
+    @pytest.mark.parametrize("kind", list(TINY))
+    def test_tiny_configs_are_valid(self, kind):
+        # the mutations below start from configs that pass parsing
+        KINDS[kind]({"kind": kind, **TINY[kind][0]}, 0, False)
+
+    @pytest.mark.parametrize("kind", list(TINY))
+    @given(data=st.data())
+    def test_one_bad_field_exits_2(self, kind, data):
+        field, cfg = data.draw(_broken_config(kind))
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+            code = run_experiment(cfg, tmp)
+        assert code == 2, (cfg, out.getvalue())
+        assert field in out.getvalue()
+
 
 class TestSolverFailure:
+    def test_unexpected_exception_exits_3(self, tmp_path, monkeypatch):
+        def fail(config):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(lsw_diffusive, "run_diffusive", fail)
+        assert run_experiment({"kind": "diffusive", "eps": 0.25}, str(tmp_path)) == 3
+        summary = json.load(open(tmp_path / "summary.json"))
+        assert summary["error"] == {"type": "ZeroDivisionError", "message": "injected"}
+
     def test_saturated_bd_run(self, tmp_path):
         # mass parked at the truncation cutoff trips the saturation monitor
         cfg = {
@@ -133,6 +257,18 @@ class TestMcExperiment:
         records = json.load(open(tmp_path / "mc_estimates.json"))
         assert len(records) == 3
         assert all(0.0 <= r["mean"] <= 1.0 for r in records)
+
+    def test_indicator_payoff(self, tmp_path):
+        # JSON has no tuples: ["indicator", x0] is the payoff 1_{x > x0}
+        cfg = {
+            "kind": "mc-check", "eps": 0.25, "T": 0.1, "n_paths": 2_000,
+            "dt": 1e-2, "n_cells": 256, "probes": [1.5],
+            "payoff": ["indicator", 1.0], "seed": 3,
+        }
+        assert run_experiment(cfg, str(tmp_path)) == 0
+        (record,) = json.load(open(tmp_path / "mc_estimates.json"))
+        assert record["payoff"] == ["indicator", 1.0]
+        assert 0.0 < record["pde"] < 1.0
 
 
 class TestDualityExperiment:

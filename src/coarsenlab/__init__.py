@@ -11,6 +11,8 @@ Modules:
 * :mod:`coarsenlab.lsw_diffusive` — the finite-volume advection-diffusion
   solver and its adjoint.
 * :mod:`coarsenlab.sde` — Monte Carlo paths of the single-cluster process.
+* :mod:`coarsenlab.banded` — the tridiagonal layout and the root bracket
+  shared by every implicit step.
 * :mod:`coarsenlab.diagnostics` — coarsening functionals and inequality checks.
 * :mod:`coarsenlab.harness` — experiment orchestration and the CLI backend.
 """

@@ -10,10 +10,12 @@ Two closures for the monomer density are supported:
 
 The default integrator is a semi-implicit trapezoidal scheme: for a frozen
 monomer density the truncated system is affine tridiagonal in the cluster
-densities, so each stage is a banded solve, and the monomer density is fixed
-per step by a scalar root-find that makes the closure hold at the committed
-state (this is what keeps conservation structural rather than approximate).
-An adaptive explicit integrator is available as a cross-check.
+densities, dc/dt = A(c1) c + r(c1), so each stage is one banded solve with
+A(c1) in the layout of :mod:`coarsenlab.banded`, and the monomer density is
+fixed per step by a scalar root-find (bracketed by ``banded.bracket``) that
+makes the closure hold at the committed state (this is what keeps
+conservation structural rather than approximate).  An adaptive explicit
+integrator is available as a cross-check.
 
 The model functions work on plain arrays.  ``bd_flux`` and ``bd_rhs`` take
 the densities c_ell for ell = 1..ell_max, whose first entry is the monomer
@@ -30,7 +32,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .diagnostics import TrajectorySeries, moments
+from .banded import bracket, matvec, shifted
+from .diagnostics import TrajectorySeries, moments, output_times
 from .rates import RateModel
 
 __all__ = [
@@ -185,22 +188,14 @@ class _Tridiag:
         self.a1 = model.a1
         self.full = full
 
-    def bands(self, c1: float, dt_half: float) -> tuple[np.ndarray, np.ndarray]:
-        """Banded forms of (I - h A) and (I + h A) with h = dt/2."""
-        n = self.n
-        diag = -(self.b + self.a * c1)
-        diag[-1] = -self.b[-1]  # zero flux out of the top bin
-        upper = self.b[1:]
-        lower = self.a_prev[1:] * c1
-        ab_m = np.zeros((3, n))
-        ab_p = np.zeros((3, n))
-        ab_m[0, 1:] = -dt_half * upper
-        ab_m[1, :] = 1.0 - dt_half * diag
-        ab_m[2, :-1] = -dt_half * lower
-        ab_p[0, 1:] = dt_half * upper
-        ab_p[1, :] = 1.0 + dt_half * diag
-        ab_p[2, :-1] = dt_half * lower
-        return ab_m, ab_p
+    def operator(self, c1: float) -> np.ndarray:
+        """A(c1) in the banded layout of :mod:`coarsenlab.banded`."""
+        ab = np.zeros((3, self.n))
+        ab[0, 1:] = self.b[1:]
+        ab[1] = -(self.b + self.a * c1)
+        ab[1, -1] = -self.b[-1]  # zero flux out of the top bin
+        ab[2, :-1] = self.a_prev[1:] * c1
+        return ab
 
     def affine(self, c1: float) -> np.ndarray:
         r = np.zeros(self.n)
@@ -209,15 +204,11 @@ class _Tridiag:
         return r
 
     def trapezoid(self, c: np.ndarray, dt: float, c1: float) -> np.ndarray:
+        """(I - h A) c_new = (I + h A) c + dt r with h = dt/2."""
         h = 0.5 * dt
-        ab_m, ab_p = self.bands(c1, h)
-        rhs = (
-            ab_p[1, :] * c
-            + np.concatenate((ab_p[0, 1:] * c[1:], [0.0]))
-            + np.concatenate(([0.0], ab_p[2, :-1] * c[:-1]))
-            + dt * self.affine(c1)
-        )
-        return solve_banded((1, 1), ab_m, rhs)
+        op = self.operator(c1)
+        rhs = matvec(shifted(-h, op), c) + dt * self.affine(c1)
+        return solve_banded((1, 1), shifted(h, op), rhs)
 
 
 def _step_semi_implicit(
@@ -245,20 +236,9 @@ def _step_semi_implicit(
         def defect(c1: float) -> float:
             return float(ells @ tri.trapezoid(c, dt, c1)) - mass0
 
-        lo = model.z_s + 0.25 * (guess - model.z_s)
-        hi = model.z_s + 4.0 * (guess - model.z_s)
-        flo, fhi = defect(lo), defect(hi)
-        grow = 0
-        while flo * fhi > 0.0 and grow < 60:
-            if flo > 0.0:
-                lo = model.z_s + 0.5 * (lo - model.z_s)
-                flo = defect(lo)
-            else:
-                hi = model.z_s + 2.0 * (hi - model.z_s)
-                fhi = defect(hi)
-            grow += 1
-        if flo * fhi > 0.0:
-            raise BdRunError("could not bracket the dirichlet monomer density")
+        lo, hi = bracket(defect, model.z_s + 0.25 * (guess - model.z_s),
+                         model.z_s + 4.0 * (guess - model.z_s),
+                         origin=model.z_s, increasing=True)
         c1 = brentq(defect, lo, hi, xtol=1e-15, rtol=8.9e-16)
     return tri.trapezoid(c, dt, c1), c1
 
@@ -291,9 +271,7 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
     ell_max = len(gamma)
     ells = np.arange(2, ell_max + 1, dtype=float)
 
-    out_times = np.arange(0.0, config.t_end - 0.25 * config.output_stride,
-                          config.output_stride)
-    out_times = np.append(out_times, config.t_end)
+    out_times = output_times(config.t_end, config.output_stride)
 
     if config.scheme == "explicit-adaptive":
         return _run_explicit(config, gamma, out_times)

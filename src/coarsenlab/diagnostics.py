@@ -18,6 +18,7 @@ __all__ = [
     "TrajectorySeries",
     "moments",
     "write_csv",
+    "output_times",
     "kohn_otto_report",
     "coarsening_rate",
 ]
@@ -64,6 +65,11 @@ def write_csv(path, header: str, rows) -> None:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def output_times(t_end: float, stride: float) -> np.ndarray:
+    """Multiples of stride before t_end, then t_end; no gap is under stride/4."""
+    return np.append(np.arange(0.0, t_end - 0.25 * stride, stride), t_end)
 
 
 # ---------------------------------------------------------------------------

@@ -393,9 +393,16 @@ def _eps_ladder(values: list) -> list[float]:
 
 def _parse_sweep(cfg: dict, seed: int, refine: bool):
     ladder = _get(cfg, "eps_ladder", list, [0.2, 0.1, 0.05, 0.025], check=_eps_ladder)
-    big_t = _get(cfg, "T", float, 1.0, check=_positive)
-    t_end = big_t + _get(cfg, "t_margin", float, 0.25, check=_positive)
-    stride = _get(cfg, "output_stride", float, 0.05)
+    stride = _get(cfg, "output_stride", float, 0.05, check=_positive)
+
+    def window(value) -> None:
+        # the rate at T is a centered difference over two strides on each
+        # side; the slack absorbs the rounding in the output times
+        _require(value >= 2.0 * stride * (1.0 + 1e-9),
+                 f"must exceed two output strides ({2.0 * stride!r}), got {value!r}")
+
+    big_t = _get(cfg, "T", float, 1.0, check=window)
+    t_end = big_t + _get(cfg, "t_margin", float, 0.25, check=window)
     cls_cfg = _classical_config(
         {**cfg, "t_end": t_end, "dt": _get(cfg, "classical_dt", float, 0.0125, check=_positive)})
     diff_cfgs = [
@@ -414,7 +421,7 @@ def _run_sweep(cls_cfg: lsw_classical.ClassicalRunConfig,
     cls_series.write_csv(os.path.join(out_dir, "series.csv"),
                          ["L", "Lambda", "N", "mass_residual"])
     # resample the classical series onto the sweep stride for rate estimates
-    cls_times = np.append(np.arange(0.0, t_end - 0.25 * stride, stride), t_end)
+    cls_times = diagnostics.output_times(t_end, stride)
     cls_lambda = np.interp(cls_times, cls_series.times, cls_series.column("Lambda"))
     cls_for_rate = diagnostics.TrajectorySeries(
         times=cls_times, columns={"Lambda": cls_lambda}, provenance="sweep:classical"

@@ -182,7 +182,6 @@ class ClassicalSolver:
         self.tail = config.tail
         self.t = 0.0
         l0 = self._initial_l()
-        # a single-knot history cannot be interpolated; seed a flat stub
         self.history = LHistory(
             times=np.array([0.0]), values=np.array([l0]), l_floor=config.l_floor
         )
@@ -235,15 +234,6 @@ class ClassicalSolver:
     def current_l(self) -> float:
         return float(self.history.values[-1])
 
-    def _history_with(self, t_new: float, l_new: float) -> LHistory:
-        if len(self.history.times) == 1:
-            return LHistory(
-                times=np.array([0.0, t_new]),
-                values=np.array([self.history.values[0], l_new]),
-                l_floor=self.config.l_floor,
-            )
-        return self.history.extended(t_new, l_new)
-
     def advance(self, dt: float) -> dict:
         """One step: fixed-point iteration for L on [t, t+dt].
 
@@ -255,7 +245,7 @@ class ClassicalSolver:
         l_guess = self.current_l
         info = None
         for _ in range(cfg.fp_max_iter):
-            trial = self._history_with(t_new, l_guess)
+            trial = self.history.extended(t_new, l_guess)
             info = self._tail_integrals(t_new, trial)
             l_new = info["l_third"] ** 3
             if l_new < cfg.l_floor:
@@ -269,7 +259,7 @@ class ClassicalSolver:
                 f"L fixed point did not converge in {cfg.fp_max_iter} iterations "
                 f"at t = {t_new}; reduce dt"
             )
-        self.history = self._history_with(t_new, l_guess)
+        self.history = self.history.extended(t_new, l_guess)
         self.t = t_new
         return info
 
@@ -279,10 +269,7 @@ class ClassicalSolver:
         if t > self.t + 1e-12:
             raise ValueError("solver has not advanced that far")
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        hist = self.history if len(self.history.times) > 1 else LHistory.constant(
-            self.current_l, max(self.t, 1e-30)
-        )
-        w = self.tail.w0(_backward_feet(xs, t, hist))
+        w = self.tail.w0(_backward_feet(xs, t, self.history))
         return w if np.ndim(x) else float(w[0])
 
 
@@ -305,7 +292,7 @@ def run_classical(config: ClassicalRunConfig) -> tuple[TrajectorySeries, LHistor
     """Integrate to t_end; series columns are L, Lambda, E, M, N, mass_residual."""
     solver = ClassicalSolver(config)
     rows = []
-    info0 = solver._tail_integrals(0.0, LHistory.constant(solver.current_l, 1e-30))
+    info0 = solver._tail_integrals(0.0, solver.history)
     rows.append((0.0, solver.current_l, info0))
     n_steps = int(round(config.t_end / config.dt))
     dt = config.t_end / n_steps

@@ -15,9 +15,10 @@ itself under the dilation (eps, x) -> (eps/lam, x/lam), which the covariance
 tests rely on.
 
 Advection is explicit upwind with an optional minmod limiter; diffusion is
-implicit (tridiagonal).  The adjoint solver uses the measure-weighted
-transpose of the linearized forward operator, stepped by implicit Euler, so
-the duality pairing is broken only by the time discretization.
+implicit, one banded solve per step (layout of :mod:`coarsenlab.banded`).
+The adjoint solver uses the measure-weighted transpose of the linearized
+forward operator, stepped by implicit Euler, so the duality pairing is
+broken only by the time discretization.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .diagnostics import TrajectorySeries, moments
+from .banded import bracket, matvec, shifted, weighted_transpose
+from .diagnostics import TrajectorySeries, moments, output_times
 from .initial_data import InitialTail, cell_averages
 from .lsw_classical import LHistory
 
 __all__ = [
     "Grid",
-    "ContinuousState",
     "DiffusiveRunConfig",
     "DiffusiveSolver",
     "diffusion_coefficient",
@@ -83,24 +84,6 @@ class Grid:
         return cls(edges=eps * np.expm1(v))
 
 
-@dataclass
-class ContinuousState:
-    cbar: np.ndarray
-    t: float
-    eps: float
-    L: float
-    grid: Grid
-
-    def mass(self) -> float:
-        return float(self.grid.centers @ (self.cbar * self.grid.widths))
-
-    def number(self) -> float:
-        return float(self.cbar @ self.grid.widths)
-
-    def copy(self) -> "ContinuousState":
-        return ContinuousState(self.cbar.copy(), self.t, self.eps, self.L, self.grid)
-
-
 class _Operators:
     """Precomputed geometry and matrix pieces for one (grid, eps) pair."""
 
@@ -119,9 +102,10 @@ class _Operators:
         self.beta = beta
         inv_w = 1.0 / grid.widths
         d = self.d_centers
-        self.diff_lower = beta[:n] * np.concatenate(([0.0], d[:-1])) * inv_w
-        self.diff_diag = -(beta[:n] + beta[1:]) * d * inv_w
-        self.diff_upper = beta[1:] * np.concatenate((d[1:], [0.0])) * inv_w
+        self.diff = np.zeros((3, n))  # the diffusion operator, banded
+        self.diff[0, 1:] = beta[1:n] * d[1:] * inv_w[:-1]
+        self.diff[1] = -(beta[:n] + beta[1:]) * d * inv_w
+        self.diff[2, :-1] = beta[1:n] * d[:-1] * inv_w[1:]
 
     # -- advection ----------------------------------------------------------
 
@@ -153,35 +137,30 @@ class _Operators:
         flux[1:-1] = np.where(u[1:-1] > 0, u[1:-1] * from_left, u[1:-1] * from_right)
         return -np.diff(flux) / g.widths
 
-    def advective_bands(self, L: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tridiagonal entries of the first-order (unlimited) upwind operator."""
+    def advective_bands(self, L: float) -> np.ndarray:
+        """The first-order (unlimited) upwind operator, banded."""
         g = self.grid
         n = g.n_cells
         u = self.edge_velocity(L)
         inv_w = 1.0 / g.widths
         up = u[1:n]  # interior edges
         take_left = up > 0
-        diag = np.zeros(n)
-        lower = np.zeros(n)
-        upper = np.zeros(n)
+        from_left = np.where(take_left, up, 0.0)
+        from_right = np.where(take_left, 0.0, up)
+        ab = np.zeros((3, n))
         # outflux through edge i+1 (rows 0..n-2)
-        diag[:-1] -= np.where(take_left, up, 0.0) * inv_w[:-1]
-        upper[:-1] -= np.where(take_left, 0.0, up) * inv_w[:-1]
+        ab[1, :-1] -= from_left * inv_w[:-1]
+        ab[0, 1:] -= from_right * inv_w[:-1]
         # influx through edge i (rows 1..n-1)
-        lower[1:] += np.where(take_left, up, 0.0) * inv_w[1:]
-        diag[1:] += np.where(take_left, 0.0, up) * inv_w[1:]
-        return lower, diag, upper
+        ab[2, :-1] += from_left * inv_w[1:]
+        ab[1, 1:] += from_right * inv_w[1:]
+        return ab
 
     # -- implicit solves ----------------------------------------------------
 
     def diffusion_solve(self, rhs: np.ndarray, dt: float) -> np.ndarray:
         """Solve (I - dt * Diff) c = rhs."""
-        n = self.grid.n_cells
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -dt * self.diff_upper[:-1]
-        ab[1, :] = 1.0 - dt * self.diff_diag
-        ab[2, :-1] = -dt * self.diff_lower[1:]
-        return solve_banded((1, 1), ab, rhs)
+        return solve_banded((1, 1), shifted(dt, self.diff), rhs)
 
     def adjoint_solve_step(self, w: np.ndarray, dt: float, L: float) -> np.ndarray:
         """Implicit-Euler backward step of the weighted-transpose operator.
@@ -190,59 +169,36 @@ class _Operators:
         A the linear forward operator, so the semi-discrete duality pairing
         sum_i w_i c_i dx_i is exactly conserved.
         """
-        lo_a, di_a, up_a = self.advective_bands(L)
-        lower = self.diff_lower + lo_a
-        diag = self.diff_diag + di_a
-        upper = self.diff_upper + up_a
-        wdt = self.grid.widths
-        n = self.grid.n_cells
-        # transpose with measure weights: adj_upper[i] = lower[i+1]*w[i+1]/w[i]
-        adj_upper = lower[1:] * wdt[1:] / wdt[:-1]
-        adj_lower = upper[:-1] * wdt[:-1] / wdt[1:]
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -dt * adj_upper
-        ab[1, :] = 1.0 - dt * diag
-        ab[2, :-1] = -dt * adj_lower
-        return solve_banded((1, 1), ab, w)
+        adjoint = weighted_transpose(self.diff + self.advective_bands(L), self.grid.widths)
+        return solve_banded((1, 1), shifted(dt, adjoint), w)
 
 
-def _moment_l(state: ContinuousState) -> float:
-    w = state.cbar * state.grid.widths
+def _moment_l(cbar: np.ndarray, grid: Grid) -> float:
+    """Cube of the 1/3-moment ratio of the cell averages ``cbar``."""
+    w = cbar * grid.widths
     number = float(w.sum())
     if number <= 0:
         raise ValueError("empty distribution")
-    return (float(np.cbrt(state.grid.centers) @ w) / number) ** 3
+    return (float(np.cbrt(grid.centers) @ w) / number) ** 3
 
 
 def determine_L(
-    state: ContinuousState,
-    mode: str = "conserve",
+    c: np.ndarray,
+    ops: _Operators,
     dt: float | None = None,
     limiter: bool = True,
-    ops: _Operators | None = None,
 ) -> float:
-    """Transport parameter for the current state.
+    """Conservative transport parameter for the cell averages ``c``.
 
-    ``moment``: cube of the 1/3-moment ratio.  ``conserve``: root-find so the
-    scheme's mass rate vanishes — the semi-discrete rate when ``dt`` is None,
-    the fully discrete per-step mass change when ``dt`` is given.
+    Root-find so the scheme's mass rate vanishes: the semi-discrete rate when
+    ``dt`` is None, the fully discrete per-step mass change when ``dt`` is
+    given.  The search starts from the moment value ``_moment_l``.
     """
-    l_mom = _moment_l(state)
-    if mode == "moment":
-        return l_mom
-    if mode != "conserve":
-        raise ValueError(f"unknown L mode {mode!r}")
-    if ops is None:
-        ops = _Operators(state.grid, state.eps)
-    xw = state.grid.centers * state.grid.widths
-    c = state.cbar
+    l_mom = _moment_l(c, ops.grid)
+    xw = ops.grid.centers * ops.grid.widths
 
     if dt is None:
-        diff_rate = (
-            ops.diff_lower * np.concatenate(([0.0], c[:-1]))
-            + ops.diff_diag * c
-            + ops.diff_upper * np.concatenate((c[1:], [0.0]))
-        )
+        diff_rate = matvec(ops.diff, c)
 
         def defect(L: float) -> float:
             return float(xw @ (diff_rate + ops.advective_rate(c, L, limiter)))
@@ -253,19 +209,8 @@ def determine_L(
             rhs = c + dt * ops.advective_rate(c, L, limiter)
             return float(xw @ ops.diffusion_solve(rhs, dt)) - m0
 
-    lo, hi = 0.5 * l_mom, 2.0 * l_mom
-    flo, fhi = defect(lo), defect(hi)
-    grow = 0
-    while flo * fhi > 0 and grow < 12:
-        if flo < 0:  # mass already shrinking at the small end: go smaller
-            lo *= 0.5
-            flo = defect(lo)
-        else:
-            hi *= 2.0
-            fhi = defect(hi)
-        grow += 1
-    if flo * fhi > 0:
-        raise RuntimeError("could not bracket the conservative L")
+    # a larger L drifts more mass toward 0, so the defect decreases in L
+    lo, hi = bracket(defect, 0.5 * l_mom, 2.0 * l_mom, origin=0.0, increasing=False)
     return float(brentq(defect, lo, hi, xtol=1e-13, rtol=8.9e-16))
 
 
@@ -301,6 +246,8 @@ class DiffusiveRunConfig:
 
 
 class DiffusiveSolver:
+    """The state is ``cbar`` (cell averages), ``t`` and the last ``L``."""
+
     def __init__(self, config: DiffusiveRunConfig):
         config.validate()
         self.config = config
@@ -309,70 +256,65 @@ class DiffusiveSolver:
             x_max = config.tail.x_max + 4.0 * (1.0 + config.t_end)
         self.grid = Grid.log_graded(config.eps, x_max, config.n_cells)
         self.ops = _Operators(self.grid, config.eps)
-        cbar = cell_averages(config.tail, self.grid.edges, normalize=True)
-        self.state = ContinuousState(
-            cbar=cbar, t=0.0, eps=config.eps, L=_moment_l(
-                ContinuousState(cbar, 0.0, config.eps, 1.0, self.grid)
-            ), grid=self.grid,
-        )
+        self.cbar = cell_averages(config.tail, self.grid.edges, normalize=True)
+        self.t = 0.0
+        self.L = _moment_l(self.cbar, self.grid)
         self.neg_clips: list[float] = []
+
+    def mass(self) -> float:
+        return float(self.grid.centers @ (self.cbar * self.grid.widths))
 
     def _dt(self) -> float:
         """CFL-limited explicit-advection step, binding in the boundary layer."""
-        u = np.abs(self.ops.edge_velocity(self.state.L))
+        u = np.abs(self.ops.edge_velocity(self.L))
         u_cell = np.maximum(u[:-1], u[1:])
         return self.config.cfl * float(np.min(self.grid.widths / np.maximum(u_cell, 1e-12)))
 
     def step(self, dt: float) -> None:
         cfg = self.config
-        st = self.state
         if cfg.l_mode == "conserve":
-            L = determine_L(st, "conserve", dt=dt, limiter=cfg.limiter, ops=self.ops)
+            L = determine_L(self.cbar, self.ops, dt=dt, limiter=cfg.limiter)
         else:
-            L = _moment_l(st)
-        rhs = st.cbar + dt * self.ops.advective_rate(st.cbar, L, cfg.limiter)
+            L = _moment_l(self.cbar, self.grid)
+        rhs = self.cbar + dt * self.ops.advective_rate(self.cbar, L, cfg.limiter)
         c_new = self.ops.diffusion_solve(rhs, dt)
         m = float(c_new.min())
         if m < -1e-12:
-            raise RuntimeError(f"negativity {m:.3e} at t = {st.t}; reduce cfl")
+            raise RuntimeError(f"negativity {m:.3e} at t = {self.t}; reduce cfl")
         if m < 0:
             self.neg_clips.append(m)
             c_new = np.maximum(c_new, 0.0)
-        st.cbar = c_new
-        st.L = L
-        st.t += dt
+        self.cbar = c_new
+        self.L = L
+        self.t += dt
 
     def run(self) -> tuple[TrajectorySeries, LHistory, list[tuple[float, np.ndarray]]]:
         cfg = self.config
-        st = self.state
-        mass0 = st.mass()
-        out_times = np.append(
-            np.arange(0.0, cfg.t_end - 0.25 * cfg.output_stride, cfg.output_stride),
-            cfg.t_end,
-        )
+        mass0 = self.mass()
+        out_times = output_times(cfg.t_end, cfg.output_stride)
         snap_times = sorted(set(float(s) for s in cfg.snapshot_times) | {cfg.t_end})
         rows = [self._row()]
-        knot_t, knot_l = [0.0], [st.L]
+        knot_t, knot_l = [0.0], [self.L]
         snapshots = []
         next_out = 1
         next_snap = 0
-        while st.t < cfg.t_end - 1e-12:
+        while self.t < cfg.t_end - 1e-12:
             stops = [cfg.t_end]
             if next_out < len(out_times):
                 stops.append(out_times[next_out])
             if next_snap < len(snap_times):
                 stops.append(snap_times[next_snap])
             t_stop = min(stops)
-            dt = min(self._dt(), t_stop - st.t)
+            dt = min(self._dt(), t_stop - self.t)
             self.step(dt)
-            knot_t.append(st.t)
-            knot_l.append(st.L)
-            if abs(st.mass() - mass0) > cfg.mass_tol and cfg.l_mode == "conserve":
-                raise RuntimeError(f"mass drift {st.mass() - mass0:.3e} at t = {st.t}")
-            if next_snap < len(snap_times) and st.t >= snap_times[next_snap] - 1e-10:
-                snapshots.append((st.t, st.cbar.copy()))
+            knot_t.append(self.t)
+            knot_l.append(self.L)
+            if abs(self.mass() - mass0) > cfg.mass_tol and cfg.l_mode == "conserve":
+                raise RuntimeError(f"mass drift {self.mass() - mass0:.3e} at t = {self.t}")
+            if next_snap < len(snap_times) and self.t >= snap_times[next_snap] - 1e-10:
+                snapshots.append((self.t, self.cbar.copy()))
                 next_snap += 1
-            if next_out < len(out_times) and st.t >= out_times[next_out] - 1e-10:
+            if next_out < len(out_times) and self.t >= out_times[next_out] - 1e-10:
                 rows.append(self._row())
                 next_out += 1
         series = TrajectorySeries(
@@ -394,10 +336,9 @@ class DiffusiveSolver:
         return series, history, snapshots
 
     def _row(self) -> tuple:
-        st = self.state
-        number, mass, energy, scale = moments(self.grid.centers, st.cbar * self.grid.widths)
+        number, mass, energy, scale = moments(self.grid.centers, self.cbar * self.grid.widths)
         lam = mass / number if number > 0 else np.nan
-        return (st.t, st.L, lam, energy, scale, number, mass)
+        return (self.t, self.L, lam, energy, scale, number, mass)
 
     def tail_at(self, cbar: np.ndarray, probes: np.ndarray) -> np.ndarray:
         """int_x^inf c at probe points, by exact integration of cell averages."""

@@ -3,7 +3,8 @@
 Each test evaluates one advertised guarantee of the package at its stated
 tolerance and reports a single ``ACCEPTANCE NN ...: PASS/FAIL`` line (collected
 in the terminal summary).  Expensive runs are shared through module-scoped
-fixtures.
+fixtures, and the reference classical runs through the session-scoped ones in
+``conftest.py``.
 """
 
 import json
@@ -16,12 +17,7 @@ from scipy.optimize import brentq
 from coarsenlab import bd, initial_data
 from coarsenlab.diagnostics import kohn_otto_report
 from coarsenlab.harness import run_experiment
-from coarsenlab.lsw_classical import (
-    ClassicalRunConfig,
-    LHistory,
-    characteristic_backward,
-    run_classical,
-)
+from coarsenlab.lsw_classical import LHistory, characteristic_backward
 from coarsenlab.lsw_diffusive import DiffusiveRunConfig, run_diffusive
 from coarsenlab.rates import RateModel, equilibrium_table
 
@@ -75,14 +71,6 @@ def bd_full_run():
         t_end=5.0, output_stride=0.25,
     )
     return bd.run_bd(cfg)
-
-
-@pytest.fixture(scope="module")
-def classical_run():
-    cfg = ClassicalRunConfig(
-        tail=initial_data.exponential_moment(), t_end=0.5, dt=0.0125
-    )
-    return run_classical(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -216,13 +204,14 @@ def test_09_coarsening_inequalities(verdict, coarsening_long_run):
             ok, f"EM_min={report['EM_min']:.6f}")
 
 
-def test_10_monotone_functionals(verdict, bd_dirichlet_run, classical_run,
-                                 diffusive_run, coarsening_long_run):
+def test_10_monotone_functionals(verdict, bd_dirichlet_run,
+                                 classical_exponential_run, diffusive_run,
+                                 coarsening_long_run):
     ok = True
     details = []
     for label, series in (
         ("bd", bd_dirichlet_run[0]),
-        ("classical", classical_run[0]),
+        ("classical", classical_exponential_run[0]),
         ("diffusive", diffusive_run[0]),
         ("diffusive-long", coarsening_long_run[0]),
     ):
@@ -236,18 +225,13 @@ def test_10_monotone_functionals(verdict, bd_dirichlet_run, classical_run,
             ok, " ".join(details))
 
 
-def test_11_dilation_covariance(verdict):
-    lam = 2.0
-    # classical pairing
-    base_cfg = ClassicalRunConfig(
-        tail=initial_data.exponential_moment(), t_end=0.5, dt=0.0125
-    )
-    base, _, _ = run_classical(base_cfg)
-    scaled_cfg = ClassicalRunConfig(
-        tail=initial_data.dilated(base_cfg.tail, lam),
-        t_end=base_cfg.t_end / lam, dt=base_cfg.dt / lam,
-    )
-    scaled, _, _ = run_classical(scaled_cfg)
+def test_11_dilation_covariance(verdict, classical_exponential_run,
+                                classical_dilated_run):
+    lam = 2.0  # the dilation of classical_dilated_run
+    # classical pairing: (t_end 0.5, dt 0.0125) against the dilated data on
+    # (t_end 0.25, dt 0.00625)
+    base = classical_exponential_run[0]
+    scaled = classical_dilated_run[0]
     err_cls = abs(lam * float(scaled.column("L")[-1])
                   - float(base.column("L")[-1]))
     # diffusive pairing (eps, data) vs (eps/lam, dilated data)

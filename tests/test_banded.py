@@ -1,0 +1,102 @@
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from coarsenlab.banded import bracket, matvec, shifted, weighted_transpose
+
+_ENTRIES = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def _operator(draw):
+    """A random banded operator, a vector and positive weights of one size."""
+    n = draw(st.integers(2, 12))
+    ab = draw(arrays(float, (3, n), elements=_ENTRIES))
+    ab[0, 0] = ab[2, -1] = 0.0  # the unused corners of the layout
+    x = draw(arrays(float, n, elements=_ENTRIES))
+    y = draw(arrays(float, n, elements=_ENTRIES))
+    w = draw(arrays(float, n, elements=st.floats(0.1, 10.0)))
+    return ab, x, y, w
+
+
+def _dense(ab):
+    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+
+
+class TestLayout:
+    @given(_operator(), st.floats(-2.0, 2.0))
+    def test_shifted_is_identity_minus_h_a(self, case, h):
+        ab = case[0]
+        expected = np.eye(ab.shape[1]) - h * _dense(ab)
+        assert np.allclose(_dense(shifted(h, ab)), expected, rtol=1e-14, atol=1e-14)
+
+    @given(_operator())
+    def test_matvec_matches_dense(self, case):
+        ab, x, _, _ = case
+        assert np.allclose(matvec(ab, x), _dense(ab) @ x, rtol=1e-12, atol=1e-12)
+
+    @given(_operator())
+    def test_weighted_transpose_matches_dense(self, case):
+        ab, _, _, w = case
+        expected = np.diag(1.0 / w) @ _dense(ab).T @ np.diag(w)
+        assert np.allclose(_dense(weighted_transpose(ab, w)), expected,
+                           rtol=1e-12, atol=1e-12)
+
+    @given(_operator())
+    def test_weighted_transpose_is_the_adjoint(self, case):
+        # <A x, y>_W = <x, W^{-1} A^T W y>_W with <u, v>_W = sum_i u_i v_i w_i
+        ab, x, y, w = case
+        lhs = float((matvec(ab, x) * y) @ w)
+        rhs = float((x * matvec(weighted_transpose(ab, w), y)) @ w)
+        scale = float((np.abs(_dense(ab)) @ np.abs(x) * np.abs(y)) @ w)
+        assert abs(lhs - rhs) <= 1e-12 * max(scale, 1.0)
+
+
+class TestBracket:
+    @given(st.floats(0.01, 1e4))
+    def test_increasing_root_above(self, root):
+        calls = []
+
+        def f(s):
+            calls.append(s)
+            return s - root
+
+        lo, hi = bracket(f, 0.004, 0.008, origin=0.0, increasing=True)
+        assert lo <= root <= hi
+        assert calls[:2] == [0.004, 0.008]
+
+    @given(st.floats(1e-6, 0.5))
+    def test_decreasing_root_below(self, root):
+        lo, hi = bracket(lambda s: root - s, 1.0, 2.0, origin=0.0, increasing=False)
+        assert lo <= root <= hi
+
+    def test_widens_about_the_origin(self):
+        # increasing, root below: the lower end halves its distance to 1
+        lo, hi = bracket(lambda s: s - 1.2, 1.5, 3.0, origin=1.0, increasing=True)
+        assert (lo, hi) == (1.125, 3.0)
+        # decreasing, root above: the upper end doubles its distance to 1
+        lo, hi = bracket(lambda s: 4.5 - s, 1.5, 2.0, origin=1.0, increasing=False)
+        assert (lo, hi) == (1.5, 5.0)
+
+    def test_bracket_already_holds(self):
+        calls = []
+
+        def f(s):
+            calls.append(s)
+            return s - 1.0
+
+        assert bracket(f, 0.5, 2.0, origin=0.0, increasing=True) == (0.5, 2.0)
+        assert calls == [0.5, 2.0]
+
+    def test_gives_up_after_the_growth_limit(self):
+        calls = []
+
+        def f(s):
+            calls.append(s)
+            return 1.0  # never changes sign
+
+        with pytest.raises(RuntimeError, match="could not bracket"):
+            bracket(f, 1.0, 2.0, origin=0.0, increasing=True)
+        assert len(calls) == 2 + 60

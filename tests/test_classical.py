@@ -129,42 +129,35 @@ class TestLHistory:
             LHistory(times=np.array([0.0, 1.0]), values=np.array([1.0, 1e-12]))
 
 
-@pytest.fixture(scope="module")
-def exponential_run():
-    cfg = ClassicalRunConfig(
-        tail=initial_data.exponential_moment(), t_end=0.5, dt=0.0125
-    )
-    return run_classical(cfg)
-
-
 class TestSolver:
     def test_initial_transport_parameter(self):
         cfg = ClassicalRunConfig(tail=initial_data.exponential_moment(), t_end=1.0)
         solver = ClassicalSolver(cfg)
         assert solver.current_l == pytest.approx(L0_EXPONENTIAL, rel=1e-10)
 
-    def test_mass_conserved(self, exponential_run):
-        series, _, _ = exponential_run
+    def test_mass_conserved(self, classical_exponential_run):
+        series, _, _ = classical_exponential_run
         assert np.max(np.abs(series.column("mass_residual"))) <= 1e-6
 
-    def test_monotone_functionals(self, exponential_run):
-        series, _, _ = exponential_run
+    def test_monotone_functionals(self, classical_exponential_run):
+        series, _, _ = classical_exponential_run
         lam = series.column("Lambda")
         assert np.all(np.diff(lam) >= -1e-12)
         assert np.all(series.column("L") <= lam + 1e-9)
         assert np.all(np.diff(series.column("N")) < 0)
 
-    def test_energy_decreasing(self, exponential_run):
-        series, _, _ = exponential_run
+    def test_energy_decreasing(self, classical_exponential_run):
+        series, _, _ = classical_exponential_run
         assert np.all(np.diff(series.column("E")) < 0)
 
-    def test_tail_value_matches_series_number(self, exponential_run):
-        series, _, solver = exponential_run
+    def test_tail_value_matches_series_number(self, classical_exponential_run):
+        series, _, solver = classical_exponential_run
         n_end = float(series.column("N")[-1])
         assert solver.tail_value(0.0) == pytest.approx(n_end, rel=1e-8)
 
-    def test_semi_analytic_rate_matches_finite_difference(self, exponential_run):
-        series, _, solver = exponential_run
+    def test_semi_analytic_rate_matches_finite_difference(
+            self, classical_exponential_run):
+        series, _, solver = classical_exponential_run
         t = 0.25
         lam = series.column("Lambda")
         i = int(np.argmin(np.abs(series.times - t)))
@@ -182,18 +175,11 @@ class TestSolver:
             vals.append(float(series.column("L")[-1]))
         assert vals[0] == pytest.approx(vals[1], abs=1e-5)
 
-    def test_dilation_covariance(self):
-        lam = 2.0
-        base_cfg = ClassicalRunConfig(
-            tail=initial_data.exponential_moment(), t_end=0.5, dt=0.0125
-        )
-        base, _, _ = run_classical(base_cfg)
-        scaled_cfg = ClassicalRunConfig(
-            tail=initial_data.dilated(base_cfg.tail, lam),
-            t_end=base_cfg.t_end / lam,
-            dt=base_cfg.dt / lam,
-        )
-        scaled, _, _ = run_classical(scaled_cfg)
+    def test_dilation_covariance(self, classical_exponential_run,
+                                 classical_dilated_run):
+        lam = 2.0  # the dilation of classical_dilated_run
+        base = classical_exponential_run[0]
+        scaled = classical_dilated_run[0]
         assert lam * scaled.column("L")[-1] == pytest.approx(
             float(base.column("L")[-1]), abs=1e-4
         )

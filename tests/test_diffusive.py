@@ -3,9 +3,10 @@ import pytest
 
 from coarsenlab import initial_data
 from coarsenlab.lsw_diffusive import (
-    ContinuousState,
     DiffusiveRunConfig,
     Grid,
+    _moment_l,
+    _Operators,
     adjoint_solve,
     determine_L,
     diffusion_coefficient,
@@ -52,54 +53,65 @@ class TestGrid:
             Grid(edges=np.array([0.1, 0.5, 1.0]))
 
 
-def _exp_state(eps=0.25, n_cells=128):
+def _exp_data(eps=0.25, n_cells=128):
+    """Cell averages of the exponential data and the operators of their grid."""
     tail = initial_data.exponential_moment()
     grid = Grid.log_graded(eps, 45.0, n_cells)
-    cbar = initial_data.cell_averages(tail, grid.edges)
-    return ContinuousState(cbar=cbar, t=0.0, eps=eps, L=1.0, grid=grid)
+    return initial_data.cell_averages(tail, grid.edges), _Operators(grid, eps)
+
+
+def _dense_diffusion(grid, eps):
+    """d^2/dx^2 (D c) as a dense matrix, built from its edge fluxes.
+
+    The flux through the left edge of cell j is the difference of D c
+    between the center of cell j and the previous sample point, over their
+    distance; the first sample is the Dirichlet value (D c)(0) = 0 at x = 0,
+    and no flux passes the outer wall.
+    """
+    x = grid.centers
+    n = len(x)
+    dc = diffusion_coefficient(eps, x)
+    gaps = np.diff(np.concatenate(([0.0], x)))
+    flux = np.zeros((n + 1, n))
+    for j in range(n):
+        flux[j, j] = dc[j] / gaps[j]
+        if j > 0:
+            flux[j, j - 1] = -dc[j - 1] / gaps[j]
+    return (flux[1:] - flux[:-1]) / grid.widths[:, None]
 
 
 class TestDetermineL:
     def test_moment_mode_single_cell_mass(self):
-        state = _exp_state()
-        state.cbar = np.zeros_like(state.cbar)
-        state.cbar[50] = 1.0
+        cbar, ops = _exp_data()
+        cbar = np.zeros_like(cbar)
+        cbar[50] = 1.0
         # all mass at one center: L is exactly that center's volume
-        assert determine_L(state, "moment") == pytest.approx(
-            state.grid.centers[50], rel=1e-12
+        assert _moment_l(cbar, ops.grid) == pytest.approx(
+            ops.grid.centers[50], rel=1e-12
         )
+
+    def test_diffusion_bands_match_dense_operator(self):
+        _, ops = _exp_data()
+        dense = (np.diag(ops.diff[1]) + np.diag(ops.diff[0, 1:], 1)
+                 + np.diag(ops.diff[2, :-1], -1))
+        assert np.allclose(dense, _dense_diffusion(ops.grid, ops.eps),
+                           rtol=1e-13, atol=0.0)
 
     def test_conserve_semi_discrete_zeroes_mass_rate(self):
-        state = _exp_state()
-        from coarsenlab.lsw_diffusive import _Operators
-
-        ops = _Operators(state.grid, state.eps)
-        L = determine_L(state, "conserve", dt=None, limiter=True, ops=ops)
-        c = state.cbar
-        diff_rate = (
-            ops.diff_lower * np.concatenate(([0.0], c[:-1]))
-            + ops.diff_diag * c
-            + ops.diff_upper * np.concatenate((c[1:], [0.0]))
-        )
-        rate = diff_rate + ops.advective_rate(c, L, True)
-        xw = state.grid.centers * state.grid.widths
+        c, ops = _exp_data()
+        L = determine_L(c, ops, dt=None, limiter=True)
+        rate = _dense_diffusion(ops.grid, ops.eps) @ c + ops.advective_rate(c, L, True)
+        xw = ops.grid.centers * ops.grid.widths
         assert abs(float(xw @ rate)) <= 1e-12
 
     def test_conserve_fully_discrete_zeroes_step_change(self):
-        state = _exp_state()
-        from coarsenlab.lsw_diffusive import _Operators
-
-        ops = _Operators(state.grid, state.eps)
+        c, ops = _exp_data()
         dt = 1e-3
-        L = determine_L(state, "conserve", dt=dt, limiter=True, ops=ops)
-        rhs = state.cbar + dt * ops.advective_rate(state.cbar, L, True)
+        L = determine_L(c, ops, dt=dt, limiter=True)
+        rhs = c + dt * ops.advective_rate(c, L, True)
         c_new = ops.diffusion_solve(rhs, dt)
-        xw = state.grid.centers * state.grid.widths
-        assert abs(float(xw @ c_new) - float(xw @ state.cbar)) <= 1e-13
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            determine_L(_exp_state(), "banana")
+        xw = ops.grid.centers * ops.grid.widths
+        assert abs(float(xw @ c_new) - float(xw @ c)) <= 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +142,7 @@ class TestRun:
 
     def test_nonnegative(self, reference_run):
         _, _, snapshots, solver = reference_run
-        assert float(solver.state.cbar.min()) >= 0.0
+        assert float(solver.cbar.min()) >= 0.0
         assert all(float(c.min()) >= 0.0 for _, c in snapshots)
 
     def test_history_covers_run(self, reference_run):
@@ -140,8 +152,6 @@ class TestRun:
         assert np.all(history.values > 0)
 
     def test_zero_data_stays_zero_operators(self):
-        from coarsenlab.lsw_diffusive import _Operators
-
         grid = Grid.log_graded(0.25, 10.0, 64)
         ops = _Operators(grid, 0.25)
         zero = np.zeros(64)
@@ -150,9 +160,9 @@ class TestRun:
 
     def test_tail_at_consistency(self, reference_run):
         _, _, _, solver = reference_run
-        cbar = solver.state.cbar
+        cbar = solver.cbar
         tail0 = solver.tail_at(cbar, np.array([0.0]))[0]
-        assert tail0 == pytest.approx(solver.state.number(), rel=1e-12)
+        assert tail0 == pytest.approx(cbar @ solver.grid.widths, rel=1e-12)
         probes = np.array([0.5, 1.0, 3.0])
         vals = solver.tail_at(cbar, probes)
         assert np.all(np.diff(vals) < 0)

@@ -48,6 +48,11 @@ CONFIG_FAULTS = [
     ("mc-check", {"n_paths": "abc"}, "n_paths"),
     ("mc-check", {"payoff": "nope"}, "payoff"),
     ("sweep", {"eps_ladder": "abc"}, "eps_ladder"),
+    # the rate at T needs two output strides (0.05) on each side
+    ("sweep", {"eps_ladder": [0.5, 0.25], "T": 0.2, "t_margin": 0.01, "n_cells": 16,
+               "classical_dt": 0.05, "panels": 2, "nodes_per_panel": 2}, "t_margin"),
+    ("sweep", {"eps_ladder": [0.5, 0.25], "T": 0.05, "t_margin": 0.25, "n_cells": 16,
+               "classical_dt": 0.05, "panels": 2, "nodes_per_panel": 2}, "T"),
     ("classical", {"panels": "x"}, "panels"),
     ("classical", {"initial": {"kind": "compact-bump"}}, "initial"),
 ] + [
@@ -99,7 +104,7 @@ TINY = {
     "diffusive": ({"eps": 0.5, "t_end": 0.05, "n_cells": 16, "cfl": 0.5,
                    "output_stride": 0.05, "x_max": 10.0},
                   ["eps"], ["eps", "t_end", "n_cells", "cfl", "output_stride", "x_max"]),
-    "sweep": ({"eps_ladder": [0.5, 0.25], "T": 0.2, "t_margin": 0.1,
+    "sweep": ({"eps_ladder": [0.5, 0.25], "T": 0.2, "t_margin": 0.15,
                "output_stride": 0.05, "n_cells": 16, "classical_dt": 0.05,
                "panels": 2, "nodes_per_panel": 2},
               [], ["T", "t_margin", "output_stride", "n_cells", "classical_dt",

@@ -25,7 +25,7 @@ ell = 2..ell_max, which is what the steppers carry as their state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -47,6 +47,11 @@ __all__ = [
     "bd_rhs",
     "run_bd",
 ]
+
+
+_RTOL = 1e-9  # step-doubling error tolerance of the semi-implicit stepper
+_ATOL = 1e-12
+_MASS_TOL = 1e-8  # relative mass drift that aborts a run
 
 
 class BdRunError(RuntimeError):
@@ -72,10 +77,6 @@ class BdRunConfig:
     dt_init: float = 1e-3
     scheme: str = "semi-implicit"  # or "explicit-adaptive"
     output_stride: float = 0.1
-    rtol: float = 1e-9
-    atol: float = 1e-12
-    mass_tol: float = 1e-8
-    dt_max: float = field(default=np.inf)
 
     def validate(self) -> None:
         gamma = np.asarray(self.initial, dtype=float)
@@ -261,7 +262,7 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
     """Integrate to t_end; returns the diagnostic series and state snapshots.
 
     Snapshots are (t, c) pairs with c indexed ell = 1..ell_max, taken at the
-    output stride.  Aborts (BdRunError) on mass drift beyond ``mass_tol``,
+    output stride.  Aborts (BdRunError) on mass drift beyond ``_MASS_TOL``,
     step-size underflow, or density piling up at the truncation cutoff.
     """
     config.validate()
@@ -282,15 +283,14 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
     dt = config.dt_init
     neg_log: list[float] = []
 
-    recorder = _Recorder(config, ells)
-    recorder.record(t, c)
+    rows = [_row(t, c, config, ells)]
     snapshots = [(0.0, _assemble(c, config))]
     next_out = 1
 
     mass0 = config.closure.rho if full else 1.0
     while t < config.t_end - 1e-14:
         t_target = out_times[next_out] if next_out < len(out_times) else config.t_end
-        dt_try = min(dt, config.dt_max, t_target - t)
+        dt_try = min(dt, t_target - t)
         clipped = dt_try < dt
         accepted = False
         while not accepted:
@@ -299,7 +299,7 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
             c_one, _ = _step_semi_implicit(c, dt_try, model, config.closure, tri, ells)
             c_half, _ = _step_semi_implicit(c, 0.5 * dt_try, model, config.closure, tri, ells)
             c_two, _ = _step_semi_implicit(c_half, 0.5 * dt_try, model, config.closure, tri, ells)
-            scale = config.atol + config.rtol * np.maximum(np.abs(c), np.abs(c_two))
+            scale = _ATOL + _RTOL * np.maximum(np.abs(c), np.abs(c_two))
             err = float(np.max(np.abs(c_one - c_two) / scale)) / 3.0
             committed = _commit(c_two, neg_log) if err <= 1.0 else None
             if committed is not None:
@@ -313,7 +313,7 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
                 dt_try *= 0.5 if err <= 1.0 else max(0.2, 0.9 * err ** (-1.0 / 3.0))
 
         mass = float(ells @ c) + (monomer_closure_full(c, config.closure.rho) if full else 0.0)
-        if abs(mass - mass0) > config.mass_tol * max(mass0, 1.0):
+        if abs(mass - mass0) > _MASS_TOL * max(mass0, 1.0):
             raise BdRunError(f"mass drift {mass - mass0:.3e} at t = {t}")
         if c[-1] > 1e-10 * mass0 / ell_max:
             raise BdRunError(
@@ -321,11 +321,11 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
                 "increase ell_max"
             )
         if next_out < len(out_times) and t >= out_times[next_out] - 1e-12:
-            recorder.record(t, c)
+            rows.append(_row(t, c, config, ells))
             snapshots.append((t, _assemble(c, config)))
             next_out += 1
 
-    return recorder.series(config), snapshots
+    return _series(rows, config), snapshots
 
 
 def _assemble(c: np.ndarray, config: BdRunConfig) -> np.ndarray:
@@ -335,48 +335,27 @@ def _assemble(c: np.ndarray, config: BdRunConfig) -> np.ndarray:
     return np.concatenate(([c1], c))
 
 
-class _Recorder:
-    def __init__(self, config: BdRunConfig, ells: np.ndarray):
-        self.config = config
-        self.ells = ells
-        self.rows: list[tuple[float, float, float, float, float, float, float, float, float]] = []
+def _row(t: float, c: np.ndarray, config: BdRunConfig, ells: np.ndarray) -> dict:
+    """The series row of the cluster densities ``c`` (ell = 2..ell_max) at t."""
+    if isinstance(config.closure, FullClosure):
+        c1 = monomer_closure_full(c, config.closure.rho)
+        monomers = c1  # size-1 clusters add c1 to every moment
+    else:
+        c1 = monomer_closure_dirichlet(c, config.model)
+        monomers = 0.0  # the Dirichlet state holds no monomers
+    number, mass, energy, scale = (monomers + m for m in moments(ells, c))
+    lam = mass / number if number > 0 else np.nan
+    if c1 > config.model.z_s:
+        ell_scale = (config.model.q / (c1 - config.model.z_s)) ** 3
+    else:
+        ell_scale = np.nan
+    return {"t": t, "mass": mass, "c1": c1, "g": float(c.sum()), "Lambda": lam,
+            "L": ell_scale, "E": energy, "M": scale, "N": number}
 
-    def record(self, t: float, c: np.ndarray) -> None:
-        cfg = self.config
-        if isinstance(cfg.closure, FullClosure):
-            c1 = monomer_closure_full(c, cfg.closure.rho)
-            monomers = c1  # size-1 clusters add c1 to every moment
-        else:
-            c1 = monomer_closure_dirichlet(c, cfg.model)
-            monomers = 0.0  # the Dirichlet state holds no monomers
-        number, mass, energy, scale = (
-            monomers + m for m in moments(self.ells, c)
-        )
-        lam = mass / number if number > 0 else np.nan
-        g = float(c.sum())
-        if c1 > self.config.model.z_s:
-            ell_scale = (cfg.model.q / (c1 - cfg.model.z_s)) ** 3
-        else:
-            ell_scale = np.nan
-        self.rows.append((t, mass, c1, g, lam, ell_scale, energy, scale, number))
 
-    def series(self, config: BdRunConfig) -> TrajectorySeries:
-        arr = np.array(self.rows)
-        closure = "full" if isinstance(config.closure, FullClosure) else "dirichlet"
-        return TrajectorySeries(
-            times=arr[:, 0],
-            columns={
-                "mass": arr[:, 1],
-                "c1": arr[:, 2],
-                "g": arr[:, 3],
-                "Lambda": arr[:, 4],
-                "L": arr[:, 5],
-                "E": arr[:, 6],
-                "M": arr[:, 7],
-                "N": arr[:, 8],
-            },
-            provenance=f"bd:{closure}:{config.scheme}",
-        )
+def _series(rows: list[dict], config: BdRunConfig) -> TrajectorySeries:
+    closure = "full" if isinstance(config.closure, FullClosure) else "dirichlet"
+    return TrajectorySeries.from_rows(rows, f"bd:{closure}:{config.scheme}")
 
 
 def _run_explicit(
@@ -389,15 +368,14 @@ def _run_explicit(
 
     sol = solve_ivp(
         rhs, (0.0, config.t_end), gamma[1:], method="DOP853",
-        t_eval=out_times, rtol=min(config.rtol, 1e-10), atol=config.atol,
+        t_eval=out_times, rtol=1e-10, atol=_ATOL,
         max_step=config.t_end,
     )
     if not sol.success:
         raise BdRunError(f"explicit integration failed: {sol.message}")
-    recorder = _Recorder(config, ells)
-    snapshots = []
+    rows, snapshots = [], []
     for k, t in enumerate(sol.t):
         c = np.maximum(sol.y[:, k], 0.0)
-        recorder.record(t, c)
+        rows.append(_row(t, c, config, ells))
         snapshots.append((float(t), _assemble(c, config)))
-    return recorder.series(config), snapshots
+    return _series(rows, config), snapshots

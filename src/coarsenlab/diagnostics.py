@@ -47,6 +47,17 @@ class TrajectorySeries:
                 raise ValueError(f"column {name!r} length mismatch")
             self.columns[name] = col
 
+    @classmethod
+    def from_rows(cls, rows: list[dict], provenance: str) -> "TrajectorySeries":
+        """Series of ``rows``, each ``"t"`` and one value per column by name.
+
+        The columns take the order of the first row's keys.
+        """
+        names = [name for name in rows[0] if name != "t"]
+        return cls(times=np.array([row["t"] for row in rows]),
+                   columns={name: np.array([row[name] for row in rows]) for name in names},
+                   provenance=provenance)
+
     def __len__(self) -> int:
         return len(self.times)
 
@@ -92,8 +103,10 @@ def moments(x: np.ndarray, w: np.ndarray) -> tuple[float, float, float, float]:
 # ---------------------------------------------------------------------------
 # series-level checks
 
+_N_LADDER = 8  # T values on the R(T) ladder, halving down from the end time
 
-def kohn_otto_report(series: TrajectorySeries, n_ladder: int = 8) -> dict:
+
+def kohn_otto_report(series: TrajectorySeries) -> dict:
     """Boundedness/monotonicity report for the coarsening-rate inequalities.
 
     Checks, on a recorded run: the energy E is nonincreasing; the product
@@ -133,7 +146,7 @@ def kohn_otto_report(series: TrajectorySeries, n_ladder: int = 8) -> dict:
 
     # R(T) ladder: geometric T values up to the end of the run.
     t_end = float(t[-1])
-    ladder_t = t_end * 0.5 ** np.arange(n_ladder - 1, -1, -1, dtype=float)
+    ladder_t = t_end * 0.5 ** np.arange(_N_LADDER - 1, -1, -1, dtype=float)
     e_sq = e * e
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (e_sq[1:] + e_sq[:-1]) * dt)))
     r_values = []

@@ -324,13 +324,14 @@ def _run_classical(run_cfg: lsw_classical.ClassicalRunConfig, out_dir: str) -> O
 
 
 def _diffusive_config(cfg: dict) -> lsw_diffusive.DiffusiveRunConfig:
+    # L always conserves mass; a config may still name that scheme
+    _get(cfg, "l_mode", str, "conserve", check=_one_of("conserve"))
     return _validated(lsw_diffusive.DiffusiveRunConfig(
         tail=_get(cfg, "initial", dict, _EXPONENTIAL, check=_initial_tail),
         eps=_get(cfg, "eps", float),
         t_end=_get(cfg, "t_end", float, 1.0),
         x_max=_get(cfg, "x_max", float, None),
         n_cells=_get(cfg, "n_cells", int, 512),
-        l_mode=_get(cfg, "l_mode", str, "conserve"),
         limiter=_get(cfg, "limiter", bool, True),
         cfl=_get(cfg, "cfl", float, 0.5),
         output_stride=_get(cfg, "output_stride", float, 0.1),
@@ -338,16 +339,15 @@ def _diffusive_config(cfg: dict) -> lsw_diffusive.DiffusiveRunConfig:
     ))
 
 
-def _diffusive_checks(series: diagnostics.TrajectorySeries, conserve: bool) -> list[dict]:
+def _diffusive_checks(series: diagnostics.TrajectorySeries) -> list[dict]:
     lam = series.column("Lambda")
     big_l = series.column("L")
     resid = float(np.max(np.abs(series.column("mass_residual"))))
     checks = [
         _check("Lambda_nondecreasing", bool(np.all(np.diff(lam) >= -1e-10))),
         _check("L_below_Lambda", bool(np.all(big_l <= lam * (1 + 1e-8)))),
+        _check("mass_conservation", resid <= 1e-8, max_residual=resid),
     ]
-    if conserve:
-        checks.append(_check("mass_conservation", resid <= 1e-8, max_residual=resid))
     e = series.column("E")
     checks.append(_check("E_nonincreasing",
                          bool(np.all(np.diff(e) <= 1e-12)),
@@ -374,7 +374,7 @@ def _run_diffusive(run_cfg: lsw_diffusive.DiffusiveRunConfig, out_dir: str) -> O
     for idx, (t, cbar) in enumerate(snapshots):
         _write_snapshot(out_dir, f"density_{idx:04d}.csv", "t,x_center,c",
                         [(t, x, val) for x, val in zip(solver.grid.centers, cbar)])
-    checks = _diffusive_checks(series, run_cfg.l_mode == "conserve")
+    checks = _diffusive_checks(series)
     return checks, {"eps": run_cfg.eps, "L_end": float(series.column("L")[-1]),
                     "Lambda_end": float(series.column("Lambda")[-1])}
 

@@ -37,6 +37,12 @@ __all__ = [
 
 _RTOL = 1e-11
 _ATOL = 1e-13
+_L_FLOOR = 1e-8
+_X_LIMIT = 1e6  # a backward characteristic whose foot lies beyond this has escaped
+# the characteristic solves carry ~1e-9 adaptive-step noise, so demanding
+# much more than this from the fixed point just spins without converging
+_FP_TOL = 5e-9
+_FP_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,6 @@ class LHistory:
 
     times: np.ndarray
     values: np.ndarray
-    l_floor: float = 1e-8
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -54,8 +59,8 @@ class LHistory:
             raise ValueError("times/values must be matching 1-D arrays")
         if np.any(np.diff(t) <= 0):
             raise ValueError("knot times must be strictly increasing")
-        if np.any(v < self.l_floor):
-            raise ValueError(f"L below floor {self.l_floor}")
+        if np.any(v < _L_FLOOR):
+            raise ValueError(f"L below floor {_L_FLOOR}")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -79,12 +84,10 @@ class LHistory:
         return LHistory(
             times=np.append(self.times, t_new),
             values=np.append(self.values, value),
-            l_floor=self.l_floor,
         )
 
 
-def _backward_feet(xs: np.ndarray, t: float, history: LHistory,
-                   x_limit: float = 1e6) -> np.ndarray:
+def _backward_feet(xs: np.ndarray, t: float, history: LHistory) -> np.ndarray:
     """Feet F(x, t) for a batch of terminal positions, one vector solve."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs < 0):
@@ -101,8 +104,8 @@ def _backward_feet(xs: np.ndarray, t: float, history: LHistory,
     if not sol.success:
         raise RuntimeError(f"backward characteristic solve failed: {sol.message}")
     feet = sol.y[:, -1]
-    if np.any(feet > x_limit):
-        raise RuntimeError("characteristic escaped beyond the configured limit")
+    if np.any(feet > _X_LIMIT):
+        raise RuntimeError(f"characteristic escaped beyond x = {_X_LIMIT:g}")
     if np.any(feet < -1e-9):
         raise AssertionError("backward characteristic went negative")
     return np.maximum(feet, 0.0)
@@ -155,11 +158,6 @@ class ClassicalRunConfig:
     dt: float = 0.0125
     panels: int = 24
     nodes_per_panel: int = 8
-    l_floor: float = 1e-8
-    # the characteristic solves carry ~1e-9 adaptive-step noise, so demanding
-    # much more than this from the fixed point just spins without converging
-    fp_tol: float = 5e-9
-    fp_max_iter: int = 50
 
     def validate(self) -> None:
         if self.t_end <= 0 or self.dt <= 0:
@@ -182,9 +180,7 @@ class ClassicalSolver:
         self.tail = config.tail
         self.t = 0.0
         l0 = self._initial_l()
-        self.history = LHistory(
-            times=np.array([0.0]), values=np.array([l0]), l_floor=config.l_floor
-        )
+        self.history = LHistory(times=np.array([0.0]), values=np.array([l0]))
 
     # -- quadrature plumbing -------------------------------------------------
 
@@ -240,23 +236,22 @@ class ClassicalSolver:
         Returns the converged tail integrals at the new time (used by the run
         loop for the diagnostic series).
         """
-        cfg = self.config
         t_new = self.t + dt
         l_guess = self.current_l
         info = None
-        for _ in range(cfg.fp_max_iter):
+        for _ in range(_FP_MAX_ITER):
             trial = self.history.extended(t_new, l_guess)
             info = self._tail_integrals(t_new, trial)
             l_new = info["l_third"] ** 3
-            if l_new < cfg.l_floor:
+            if l_new < _L_FLOOR:
                 raise RuntimeError(f"L fell below the floor at t = {t_new}")
-            if abs(l_new - l_guess) <= cfg.fp_tol * max(l_new, 1.0):
+            if abs(l_new - l_guess) <= _FP_TOL * max(l_new, 1.0):
                 l_guess = l_new
                 break
             l_guess = l_new
         else:
             raise RuntimeError(
-                f"L fixed point did not converge in {cfg.fp_max_iter} iterations "
+                f"L fixed point did not converge in {_FP_MAX_ITER} iterations "
                 f"at t = {t_new}; reduce dt"
             )
         self.history = self.history.extended(t_new, l_guess)
@@ -291,25 +286,17 @@ def rate_semi_analytic(solver: ClassicalSolver, t: float) -> float:
 def run_classical(config: ClassicalRunConfig) -> tuple[TrajectorySeries, LHistory, ClassicalSolver]:
     """Integrate to t_end; series columns are L, Lambda, E, M, N, mass_residual."""
     solver = ClassicalSolver(config)
-    rows = []
-    info0 = solver._tail_integrals(0.0, solver.history)
-    rows.append((0.0, solver.current_l, info0))
+
+    def row(info: dict) -> dict:
+        return {"t": solver.t, "L": solver.current_l, "Lambda": 1.0 / info["n"],
+                "E": info["energy"], "M": info["scale"], "N": info["n"],
+                "mass_residual": info["mass"] - 1.0}
+
+    rows = [row(solver._tail_integrals(0.0, solver.history))]
     n_steps = int(round(config.t_end / config.dt))
     dt = config.t_end / n_steps
     for _ in range(n_steps):
-        info = solver.advance(dt)
-        rows.append((solver.t, solver.current_l, info))
-    arr_t = np.array([r[0] for r in rows])
-    series = TrajectorySeries(
-        times=arr_t,
-        columns={
-            "L": np.array([r[1] for r in rows]),
-            "Lambda": np.array([1.0 / r[2]["n"] for r in rows]),
-            "E": np.array([r[2]["energy"] for r in rows]),
-            "M": np.array([r[2]["scale"] for r in rows]),
-            "N": np.array([r[2]["n"] for r in rows]),
-            "mass_residual": np.array([r[2]["mass"] - 1.0 for r in rows]),
-        },
-        provenance=f"classical:{config.tail.label}:dt={config.dt}",
-    )
+        rows.append(row(solver.advance(dt)))
+    series = TrajectorySeries.from_rows(
+        rows, f"classical:{config.tail.label}:dt={config.dt}")
     return series, solver.history, solver

@@ -5,9 +5,8 @@ The equation advanced is
     dc/dt = d^2/dx^2 [ D(x) c ] + d/dx [ (1 - (x/L)^{1/3}) c ],
     D(x) = eps (1 + x/eps)^{1/3},   c(0, t) = 0,
 
-with the transport parameter L chosen each step either from the moment ratio
-(``moment`` mode) or by a root-find that makes the fully discrete step conserve
-the first moment exactly (``conserve`` mode, the default).
+with the transport parameter L chosen each step by a root-find that makes the
+fully discrete step conserve the first moment exactly.
 
 The grid is logarithmically graded, ``x_i = eps (e^{v_i} - 1)`` with uniform
 ``v``; this resolves the boundary layer of width eps and maps exactly onto
@@ -45,6 +44,8 @@ __all__ = [
     "adjoint_solve",
     "smoothed_indicator",
 ]
+
+_MASS_TOL = 1e-8  # mass drift that aborts a run
 
 
 def diffusion_coefficient(eps: float, x):
@@ -113,10 +114,11 @@ class _Operators:
         """u = (x/L)^{1/3} - 1 at the cell edges (drift toward 0 below L)."""
         return np.cbrt(self.grid.edges / L) - 1.0
 
-    def advective_rate(self, c: np.ndarray, L: float, limiter: bool) -> np.ndarray:
-        """-d/dx of the upwind flux u*c; boundary fluxes are 0 (Dirichlet/wall)."""
+    def edge_states(self, c: np.ndarray, limiter: bool) -> tuple[np.ndarray, np.ndarray]:
+        """States of ``c`` at the interior edges, reconstructed from the left
+        and from the right cell: minmod-limited linear, or constant without
+        the limiter.  They do not depend on L."""
         g = self.grid
-        u = self.edge_velocity(L)
         if limiter:
             dc = np.diff(c)
             h = np.diff(g.centers)
@@ -129,13 +131,19 @@ class _Operators:
             )
         else:
             slope = np.zeros_like(c)
-        # reconstructed states at interior edges j = 1..n-1
         e_in = g.edges[1:-1]
         from_left = c[:-1] + slope[:-1] * (e_in - g.centers[:-1])
         from_right = c[1:] + slope[1:] * (e_in - g.centers[1:])
-        flux = np.zeros(g.n_cells + 1)
+        return from_left, from_right
+
+    def advective_rate(self, states: tuple[np.ndarray, np.ndarray], L: float) -> np.ndarray:
+        """-d/dx of the upwind flux u*c from the ``edge_states``; boundary
+        fluxes are 0 (Dirichlet/wall)."""
+        from_left, from_right = states
+        u = self.edge_velocity(L)
+        flux = np.zeros(self.grid.n_cells + 1)
         flux[1:-1] = np.where(u[1:-1] > 0, u[1:-1] * from_left, u[1:-1] * from_right)
-        return -np.diff(flux) / g.widths
+        return -np.diff(flux) / self.grid.widths
 
     def advective_bands(self, L: float) -> np.ndarray:
         """The first-order (unlimited) upwind operator, banded."""
@@ -196,17 +204,18 @@ def determine_L(
     """
     l_mom = _moment_l(c, ops.grid)
     xw = ops.grid.centers * ops.grid.widths
+    states = ops.edge_states(c, limiter)
 
     if dt is None:
         diff_rate = matvec(ops.diff, c)
 
         def defect(L: float) -> float:
-            return float(xw @ (diff_rate + ops.advective_rate(c, L, limiter)))
+            return float(xw @ (diff_rate + ops.advective_rate(states, L)))
     else:
         m0 = float(xw @ c)
 
         def defect(L: float) -> float:
-            rhs = c + dt * ops.advective_rate(c, L, limiter)
+            rhs = c + dt * ops.advective_rate(states, L)
             return float(xw @ ops.diffusion_solve(rhs, dt)) - m0
 
     # a larger L drifts more mass toward 0, so the defect decreases in L
@@ -221,11 +230,9 @@ class DiffusiveRunConfig:
     t_end: float
     x_max: float | None = None  # default: initial support + generous growth room
     n_cells: int = 512
-    l_mode: str = "conserve"
     limiter: bool = True
     cfl: float = 0.5
     output_stride: float = 0.1
-    mass_tol: float = 1e-8
     snapshot_times: tuple = ()
 
     def validate(self) -> None:
@@ -233,8 +240,6 @@ class DiffusiveRunConfig:
             raise ValueError("eps must lie in (0, 1]")
         if self.t_end <= 0 or self.cfl <= 0 or self.cfl > 0.9:
             raise ValueError("t_end must be positive and cfl in (0, 0.9]")
-        if self.l_mode not in ("conserve", "moment"):
-            raise ValueError(f"unknown L mode {self.l_mode!r}")
         if self.n_cells < 16:
             raise ValueError("n_cells too small")
         if self.x_max is not None and self.x_max <= self.eps:
@@ -271,12 +276,10 @@ class DiffusiveSolver:
         return self.config.cfl * float(np.min(self.grid.widths / np.maximum(u_cell, 1e-12)))
 
     def step(self, dt: float) -> None:
-        cfg = self.config
-        if cfg.l_mode == "conserve":
-            L = determine_L(self.cbar, self.ops, dt=dt, limiter=cfg.limiter)
-        else:
-            L = _moment_l(self.cbar, self.grid)
-        rhs = self.cbar + dt * self.ops.advective_rate(self.cbar, L, cfg.limiter)
+        limiter = self.config.limiter
+        L = determine_L(self.cbar, self.ops, dt=dt, limiter=limiter)
+        rhs = self.cbar + dt * self.ops.advective_rate(
+            self.ops.edge_states(self.cbar, limiter), L)
         c_new = self.ops.diffusion_solve(rhs, dt)
         m = float(c_new.min())
         if m < -1e-12:
@@ -293,7 +296,7 @@ class DiffusiveSolver:
         mass0 = self.mass()
         out_times = output_times(cfg.t_end, cfg.output_stride)
         snap_times = sorted(set(float(s) for s in cfg.snapshot_times) | {cfg.t_end})
-        rows = [self._row()]
+        rows = [self._row(mass0)]
         knot_t, knot_l = [0.0], [self.L]
         snapshots = []
         next_out = 1
@@ -309,36 +312,24 @@ class DiffusiveSolver:
             self.step(dt)
             knot_t.append(self.t)
             knot_l.append(self.L)
-            if abs(self.mass() - mass0) > cfg.mass_tol and cfg.l_mode == "conserve":
+            if abs(self.mass() - mass0) > _MASS_TOL:
                 raise RuntimeError(f"mass drift {self.mass() - mass0:.3e} at t = {self.t}")
             if next_snap < len(snap_times) and self.t >= snap_times[next_snap] - 1e-10:
                 snapshots.append((self.t, self.cbar.copy()))
                 next_snap += 1
             if next_out < len(out_times) and self.t >= out_times[next_out] - 1e-10:
-                rows.append(self._row())
+                rows.append(self._row(mass0))
                 next_out += 1
-        series = TrajectorySeries(
-            times=np.array([r[0] for r in rows]),
-            columns={
-                "L": np.array([r[1] for r in rows]),
-                "Lambda": np.array([r[2] for r in rows]),
-                "E": np.array([r[3] for r in rows]),
-                "M": np.array([r[4] for r in rows]),
-                "N": np.array([r[5] for r in rows]),
-                "mass_residual": np.array([r[6] for r in rows]) - mass0,
-            },
-            provenance=(
-                f"diffusive:eps={cfg.eps}:{cfg.l_mode}:M={cfg.n_cells}:"
-                f"{cfg.tail.label}"
-            ),
-        )
+        series = TrajectorySeries.from_rows(
+            rows, f"diffusive:eps={cfg.eps}:conserve:M={cfg.n_cells}:{cfg.tail.label}")
         history = LHistory(times=np.array(knot_t), values=np.array(knot_l))
         return series, history, snapshots
 
-    def _row(self) -> tuple:
+    def _row(self, mass0: float) -> dict:
         number, mass, energy, scale = moments(self.grid.centers, self.cbar * self.grid.widths)
         lam = mass / number if number > 0 else np.nan
-        return (self.t, self.L, lam, energy, scale, number, mass)
+        return {"t": self.t, "L": self.L, "Lambda": lam, "E": energy, "M": scale,
+                "N": number, "mass_residual": mass - mass0}
 
     def tail_at(self, cbar: np.ndarray, probes: np.ndarray) -> np.ndarray:
         """int_x^inf c at probe points, by exact integration of cell averages."""
@@ -398,5 +389,5 @@ def smoothed_indicator(grid: Grid, x0: float) -> np.ndarray:
     i = min(max(i, 0), grid.n_cells - 1)
     lo, hi = grid.edges[i], grid.edges[i + 1]
     out = (c > x0).astype(float)
-    out[i] = (hi - x0) / (hi - lo)
+    out[i] = min(max((hi - x0) / (hi - lo), 0.0), 1.0)  # x0 may lie off the grid
     return out

@@ -51,6 +51,16 @@ class TestTrajectorySeries:
         assert lines[1] == "0.0,2.0,1.0"
         assert lines[2] == "0.5,3.0,0.1"
 
+    def test_from_rows(self):
+        rows = [{"t": 0.0, "b": 2.0, "a": 1.0},
+                {"t": 0.5, "b": np.nan, "a": 0.1}]
+        series = TrajectorySeries.from_rows(rows, "rows")
+        assert list(series.columns) == ["b", "a"]
+        assert np.array_equal(series.times, [0.0, 0.5])
+        assert np.array_equal(series.column("a"), [1.0, 0.1])
+        assert np.array_equal(series.column("b"), [2.0, np.nan], equal_nan=True)
+        assert series.provenance == "rows"
+
 
 class TestMeanVolume:
     """Mean volume = mass / N from :func:`moments`."""

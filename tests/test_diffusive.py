@@ -100,7 +100,8 @@ class TestDetermineL:
     def test_conserve_semi_discrete_zeroes_mass_rate(self):
         c, ops = _exp_data()
         L = determine_L(c, ops, dt=None, limiter=True)
-        rate = _dense_diffusion(ops.grid, ops.eps) @ c + ops.advective_rate(c, L, True)
+        rate = (_dense_diffusion(ops.grid, ops.eps) @ c
+                + ops.advective_rate(ops.edge_states(c, True), L))
         xw = ops.grid.centers * ops.grid.widths
         assert abs(float(xw @ rate)) <= 1e-12
 
@@ -108,7 +109,7 @@ class TestDetermineL:
         c, ops = _exp_data()
         dt = 1e-3
         L = determine_L(c, ops, dt=dt, limiter=True)
-        rhs = c + dt * ops.advective_rate(c, L, True)
+        rhs = c + dt * ops.advective_rate(ops.edge_states(c, True), L)
         c_new = ops.diffusion_solve(rhs, dt)
         xw = ops.grid.centers * ops.grid.widths
         assert abs(float(xw @ c_new) - float(xw @ c)) <= 1e-13
@@ -155,7 +156,7 @@ class TestRun:
         grid = Grid.log_graded(0.25, 10.0, 64)
         ops = _Operators(grid, 0.25)
         zero = np.zeros(64)
-        assert np.all(ops.advective_rate(zero, 1.0, True) == 0.0)
+        assert np.all(ops.advective_rate(ops.edge_states(zero, True), 1.0) == 0.0)
         assert np.all(ops.diffusion_solve(zero, 0.01) == 0.0)
 
     def test_tail_at_consistency(self, reference_run):
@@ -193,11 +194,6 @@ class TestRun:
         with pytest.raises(ValueError):
             DiffusiveRunConfig(
                 tail=initial_data.exponential_moment(), eps=1.5, t_end=1.0
-            ).validate()
-        with pytest.raises(ValueError):
-            DiffusiveRunConfig(
-                tail=initial_data.exponential_moment(), eps=0.1, t_end=1.0,
-                l_mode="nope",
             ).validate()
 
 
@@ -272,3 +268,11 @@ class TestSmoothedIndicator:
         assert np.all(w[:i] == 0.0)
         assert np.all(w[i + 1 :] == 1.0)
         assert 0.0 < w[i] < 1.0
+
+    def test_beyond_the_grid_is_all_zeros(self):
+        grid = Grid.log_graded(0.25, 20.0, 16)
+        assert np.all(smoothed_indicator(grid, 100.0) == 0.0)
+
+    def test_below_zero_is_all_ones(self):
+        grid = Grid.log_graded(0.25, 20.0, 16)
+        assert np.all(smoothed_indicator(grid, -1.0) == 1.0)

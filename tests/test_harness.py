@@ -42,6 +42,7 @@ CONFIG_FAULTS = [
     ("diffusive", {}, "eps"),
     ("diffusive", {"eps": 0.2, "n_cells": "abc"}, "n_cells"),
     ("diffusive", {"eps": 0.2, "x_max": 0.05}, "x_max"),
+    ("diffusive", {"eps": 0.2, "l_mode": "moment"}, "l_mode"),
     ("duality", {"n_cells": 8}, "n_cells"),
     ("bd", {"initial": {"kind": "bins", "entries": [[2, "x"]]}}, "entries"),
     ("bd", {"closure": "full"}, "closure"),

@@ -1,0 +1,64 @@
+"""Digests of the artifacts of reference configs, to show a change keeps them.
+
+    python3 tools/artifact_digests.py
+
+Run from any directory; it imports ``coarsenlab`` from this checkout's
+``src/`` and the benchmark workloads from ``bench/workloads.py``.  Each
+config runs through ``harness.run_experiment`` into a temporary directory,
+and one line is printed per config: its name, the exit code, the number of
+files written and the digest, the first 16 hex digits of the sha256 over the
+lines ``<relative path> <file sha256>`` sorted by path.  Run it on two
+commits and compare the lines; equal digests mean byte-identical artifacts.
+The whole set takes a few minutes on two cores.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+from coarsenlab.harness import run_experiment  # noqa: E402
+from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
+
+# (name, config, seed, refine); a seed of None leaves it to the config
+CONFIGS = [
+    *((f"bench {name}", config, DEFAULT_SEED, False) for name, config in WORKLOADS.items()),
+    ("bench duality-adjoint --refine", WORKLOADS["duality-adjoint"], DEFAULT_SEED, True),
+    ("default sweep", {"kind": "sweep"}, None, False),
+    ("ACCEPTANCE 12 classical", {"kind": "classical", "t_end": 0.25}, None, False),
+]
+
+
+def tree_digest(root: str) -> tuple[int, str]:
+    """(file count, digest) of every file under ``root``."""
+    lines = []
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                lines.append(f"{os.path.relpath(path, root)} "
+                             f"{hashlib.sha256(fh.read()).hexdigest()}")
+    text = "\n".join(sorted(lines)) + "\n"
+    return len(lines), hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def main() -> int:
+    for name, config, seed, refine in CONFIGS:
+        with tempfile.TemporaryDirectory() as out:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = run_experiment(dict(config), out, seed=seed, refine=refine)
+            files, digest = tree_digest(out)
+        print(f"{name:<34} exit {code}  files {files:>4}  {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

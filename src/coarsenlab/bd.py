@@ -46,6 +46,7 @@ __all__ = [
     "monomer_closure_dirichlet",
     "bd_rhs",
     "run_bd",
+    "truncation_bound",
 ]
 
 
@@ -258,6 +259,13 @@ def _commit(c: np.ndarray, neg_log: list[float]) -> np.ndarray | None:
     return c
 
 
+def truncation_bound(mass: float, ell_max: int) -> float:
+    """Largest density at ``ell_max`` a run accepts: above it, clusters pile
+    up at the cutoff and the truncation no longer stands for the infinite
+    system."""
+    return 1e-10 * mass / ell_max
+
+
 def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.ndarray]]]:
     """Integrate to t_end; returns the diagnostic series and state snapshots.
 
@@ -315,7 +323,7 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
         mass = float(ells @ c) + (monomer_closure_full(c, config.closure.rho) if full else 0.0)
         if abs(mass - mass0) > _MASS_TOL * max(mass0, 1.0):
             raise BdRunError(f"mass drift {mass - mass0:.3e} at t = {t}")
-        if c[-1] > 1e-10 * mass0 / ell_max:
+        if c[-1] > truncation_bound(mass0, ell_max):
             raise BdRunError(
                 f"truncation saturation: c_ell_max = {c[-1]:.3e} at t = {t}; "
                 "increase ell_max"

@@ -240,6 +240,10 @@ def _parse_bd(cfg: dict, seed: int, refine: bool):
     else:
         gamma[0] = 0.0
         closure = bd_mod.DirichletClosure()
+    bound = bd_mod.truncation_bound(closure.rho if closure_kind == "full" else 1.0, ell_max)
+    _require(gamma[-1] <= bound,
+             f"ell_max: the initial density there, {gamma[-1]:.3e}, already exceeds "
+             f"the truncation bound {bound:.3e}; increase ell_max")
     return functools.partial(_run_bd, _validated(bd_mod.BdRunConfig(
         model=model,
         closure=closure,
@@ -566,11 +570,12 @@ def _duality_residuals(run_cfg: lsw_diffusive.DiffusiveRunConfig, x0_ind: float)
         "cuberoot": np.cbrt(grid.centers),
         "indicator": lsw_diffusive.smoothed_indicator(grid, x0_ind),
     }
+    w_t = np.column_stack(list(payoffs.values()))
+    w_0 = lsw_diffusive.adjoint_solve(w_t, run_cfg.t_end, history, run_cfg.eps, grid)
     out = {}
-    for name, w_t in payoffs.items():
-        w_0 = lsw_diffusive.adjoint_solve(w_t, run_cfg.t_end, history, run_cfg.eps, grid)
-        lhs = float((w_t * c_final) @ grid.widths)
-        rhs = float((w_0 * c0) @ grid.widths)
+    for j, name in enumerate(payoffs):
+        lhs = float((w_t[:, j] * c_final) @ grid.widths)
+        rhs = float((w_0[:, j] * c0) @ grid.widths)
         out[name] = {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
     return out
 

@@ -15,9 +15,12 @@ tests rely on.
 
 Advection is explicit upwind with an optional minmod limiter; diffusion is
 implicit, one banded solve per step (layout of :mod:`coarsenlab.banded`).
-The adjoint solver uses the measure-weighted transpose of the linearized
-forward operator, stepped by implicit Euler, so the duality pairing is
-broken only by the time discretization.
+The diffusion matrix does not depend on L, so a step costs one transposed
+solve, after which the step's mass change is an O(n) function of L for the
+root-find, plus the forward solve.  The adjoint solver uses the
+measure-weighted transpose of the linearized forward operator, stepped by
+implicit Euler, so the duality pairing is broken only by the time
+discretization; it marches several payoffs through one solve per step.
 """
 
 from __future__ import annotations
@@ -107,6 +110,7 @@ class _Operators:
         self.diff[0, 1:] = beta[1:n] * d[1:] * inv_w[:-1]
         self.diff[1] = -(beta[:n] + beta[1:]) * d * inv_w
         self.diff[2, :-1] = beta[1:n] * d[:-1] * inv_w[1:]
+        self.diff_adjoint = weighted_transpose(self.diff, grid.widths)
 
     # -- advection ----------------------------------------------------------
 
@@ -175,7 +179,8 @@ class _Operators:
 
         The adjoint generator is W^{-1} A^T W with W = diag(cell widths) and
         A the linear forward operator, so the semi-discrete duality pairing
-        sum_i w_i c_i dx_i is exactly conserved.
+        sum_i w_i c_i dx_i is exactly conserved.  ``w`` holds one payoff, or
+        one per column.
         """
         adjoint = weighted_transpose(self.diff + self.advective_bands(L), self.grid.widths)
         return solve_banded((1, 1), shifted(dt, adjoint), w)
@@ -190,37 +195,51 @@ def _moment_l(cbar: np.ndarray, grid: Grid) -> float:
     return (float(np.cbrt(grid.centers) @ w) / number) ** 3
 
 
+def _mass_defect(L: float, base: float, scale: float, edges: np.ndarray,
+                 a_left: np.ndarray, a_right: np.ndarray) -> float:
+    """``base + scale * sum_j u_j(L) a_j r_j`` over the interior edges, the
+    upwind state ``r_j`` taken from the left where ``u_j > 0``.  Module-level,
+    so its arrays reach ``brentq`` through ``args`` and die with the call."""
+    u = np.cbrt(edges / L) - 1.0
+    return base + scale * float(u @ np.where(u > 0, a_left, a_right))
+
+
 def determine_L(
     c: np.ndarray,
     ops: _Operators,
+    states: tuple[np.ndarray, np.ndarray],
     dt: float | None = None,
-    limiter: bool = True,
 ) -> float:
     """Conservative transport parameter for the cell averages ``c``.
 
     Root-find so the scheme's mass rate vanishes: the semi-discrete rate when
     ``dt`` is None, the fully discrete per-step mass change when ``dt`` is
-    given.  The search starts from the moment value ``_moment_l``.
+    given.  ``states`` are ``ops.edge_states(c, limiter)``.  The search starts
+    from the moment value ``_moment_l``.
+
+    The step is ``c_new = S^{-1} (c + dt * advective_rate)`` with
+    ``S = I - dt * Diff`` independent of L, so its mass is ``y . (c + dt *
+    advective_rate)`` with ``y = S^{-T}(x w)``: one transposed solve per call,
+    after which each evaluation is O(n) (see ``_mass_defect``, where
+    ``a = diff(y / w)``).  The semi-discrete rate is the same with ``y = x w``.
     """
-    l_mom = _moment_l(c, ops.grid)
-    xw = ops.grid.centers * ops.grid.widths
-    states = ops.edge_states(c, limiter)
-
+    grid = ops.grid
+    x = grid.centers
+    from_left, from_right = states
     if dt is None:
-        diff_rate = matvec(ops.diff, c)
-
-        def defect(L: float) -> float:
-            return float(xw @ (diff_rate + ops.advective_rate(states, L)))
+        z = x
+        base, scale = float((x * grid.widths) @ matvec(ops.diff, c)), 1.0
     else:
-        m0 = float(xw @ c)
-
-        def defect(L: float) -> float:
-            rhs = c + dt * ops.advective_rate(states, L)
-            return float(xw @ ops.diffusion_solve(rhs, dt)) - m0
-
+        # y / w, solved for directly: (W^{-1} S^T W)(y / w) = x
+        z = solve_banded((1, 1), shifted(dt, ops.diff_adjoint), x)
+        base, scale = float((z - x) @ (c * grid.widths)), dt
+    a = np.diff(z)
+    args = (base, scale, grid.edges[1:-1], a * from_left, a * from_right)
+    l_mom = _moment_l(c, grid)
     # a larger L drifts more mass toward 0, so the defect decreases in L
-    lo, hi = bracket(defect, 0.5 * l_mom, 2.0 * l_mom, origin=0.0, increasing=False)
-    return float(brentq(defect, lo, hi, xtol=1e-13, rtol=8.9e-16))
+    lo, hi = bracket(lambda L: _mass_defect(L, *args), 0.5 * l_mom, 2.0 * l_mom,
+                     origin=0.0, increasing=False)
+    return float(brentq(_mass_defect, lo, hi, args=args, xtol=1e-13, rtol=8.9e-16))
 
 
 @dataclass
@@ -276,10 +295,9 @@ class DiffusiveSolver:
         return self.config.cfl * float(np.min(self.grid.widths / np.maximum(u_cell, 1e-12)))
 
     def step(self, dt: float) -> None:
-        limiter = self.config.limiter
-        L = determine_L(self.cbar, self.ops, dt=dt, limiter=limiter)
-        rhs = self.cbar + dt * self.ops.advective_rate(
-            self.ops.edge_states(self.cbar, limiter), L)
+        states = self.ops.edge_states(self.cbar, self.config.limiter)
+        L = determine_L(self.cbar, self.ops, states, dt=dt)
+        rhs = self.cbar + dt * self.ops.advective_rate(states, L)
         c_new = self.ops.diffusion_solve(rhs, dt)
         m = float(c_new.min())
         if m < -1e-12:
@@ -361,17 +379,20 @@ def adjoint_solve(
 ) -> np.ndarray:
     """Backward solve of the adjoint equation; returns w(., 0) on cell centers.
 
-    ``w_terminal`` is the payoff: a callable evaluated at cell centers or an
-    array already on the grid.  Indicator-like payoffs should be smoothed over
-    a cell by the caller (see ``smoothed_indicator``).
+    ``w_terminal`` is the payoff: a callable evaluated at cell centers, or an
+    array already on the grid, of shape ``(n_cells,)`` or ``(n_cells, k)``
+    for ``k`` payoffs marched together, one solve per step for all columns.
+    Indicator-like payoffs should be smoothed over a cell by the caller (see
+    ``smoothed_indicator``).
     """
     ops = _Operators(grid, eps)
     if callable(w_terminal):
         w = np.asarray(w_terminal(grid.centers), dtype=float)
     else:
         w = np.asarray(w_terminal, dtype=float).copy()
-    if w.shape != grid.centers.shape:
-        raise ValueError("terminal payoff shape does not match the grid")
+    if w.ndim not in (1, 2) or w.shape[0] != grid.n_cells:
+        raise ValueError(f"terminal payoff of shape {w.shape} does not match the "
+                         f"grid's {grid.n_cells} cells")
     if n_steps is None:
         n_steps = max(64, 4 * grid.n_cells)
     dt = T / n_steps

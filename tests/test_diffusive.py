@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from coarsenlab import initial_data
+from coarsenlab.banded import bracket
 from coarsenlab.lsw_diffusive import (
     DiffusiveRunConfig,
     Grid,
@@ -99,20 +101,40 @@ class TestDetermineL:
 
     def test_conserve_semi_discrete_zeroes_mass_rate(self):
         c, ops = _exp_data()
-        L = determine_L(c, ops, dt=None, limiter=True)
+        states = ops.edge_states(c, True)
+        L = determine_L(c, ops, states)
         rate = (_dense_diffusion(ops.grid, ops.eps) @ c
-                + ops.advective_rate(ops.edge_states(c, True), L))
+                + ops.advective_rate(states, L))
         xw = ops.grid.centers * ops.grid.widths
         assert abs(float(xw @ rate)) <= 1e-12
 
     def test_conserve_fully_discrete_zeroes_step_change(self):
+        # against the definition, one diffusion solve per defect evaluation
         c, ops = _exp_data()
-        dt = 1e-3
-        L = determine_L(c, ops, dt=dt, limiter=True)
-        rhs = c + dt * ops.advective_rate(ops.edge_states(c, True), L)
-        c_new = ops.diffusion_solve(rhs, dt)
         xw = ops.grid.centers * ops.grid.widths
-        assert abs(float(xw @ c_new) - float(xw @ c)) <= 1e-13
+        for limiter in (True, False):
+            states = ops.edge_states(c, limiter)
+            for dt in (1e-4, 1e-3, 1e-2):
+                L = determine_L(c, ops, states, dt=dt)
+                assert L == pytest.approx(_determine_l_by_solves(c, ops, states, dt),
+                                          rel=1e-10)
+                c_new = ops.diffusion_solve(c + dt * ops.advective_rate(states, L), dt)
+                assert abs(float(xw @ c_new) - float(xw @ c)) <= 1e-13
+
+
+def _determine_l_by_solves(c, ops, states, dt):
+    """The conservative L by definition: one diffusion solve per evaluation
+    of the step's mass change, bracketed from the moment value."""
+    xw = ops.grid.centers * ops.grid.widths
+    m0 = float(xw @ c)
+
+    def defect(L):
+        rhs = c + dt * ops.advective_rate(states, L)
+        return float(xw @ ops.diffusion_solve(rhs, dt)) - m0
+
+    l_mom = _moment_l(c, ops.grid)
+    lo, hi = bracket(defect, 0.5 * l_mom, 2.0 * l_mom, origin=0.0, increasing=False)
+    return brentq(defect, lo, hi, xtol=1e-13, rtol=8.9e-16)
 
 
 @pytest.fixture(scope="module")
@@ -255,8 +277,18 @@ class TestAdjoint:
     def test_payoff_shape_checked(self):
         grid = Grid.log_graded(0.25, 20.0, 64)
         hist = LHistory.constant(1.0, 0.1)
-        with pytest.raises(ValueError):
-            adjoint_solve(np.ones(10), 0.1, hist, 0.25, grid)
+        for shape in ((10,), (10, 3), (64, 2, 1)):
+            with pytest.raises(ValueError):
+                adjoint_solve(np.ones(shape), 0.1, hist, 0.25, grid)
+
+    def test_batched_payoffs_equal_the_single_solves(self):
+        grid = Grid.log_graded(0.25, 20.0, 128)
+        hist = LHistory(times=np.linspace(0.0, 0.25, 6), values=np.linspace(1.0, 1.3, 6))
+        payoffs = [np.ones(128), np.cbrt(grid.centers), smoothed_indicator(grid, 1.0)]
+        batched = adjoint_solve(np.column_stack(payoffs), 0.25, hist, 0.25, grid)
+        assert batched.shape == (128, 3)
+        for j, payoff in enumerate(payoffs):
+            assert np.array_equal(batched[:, j], adjoint_solve(payoff, 0.25, hist, 0.25, grid))
 
 
 class TestSmoothedIndicator:

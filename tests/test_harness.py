@@ -46,6 +46,9 @@ CONFIG_FAULTS = [
     ("duality", {"n_cells": 8}, "n_cells"),
     ("bd", {"initial": {"kind": "bins", "entries": [[2, "x"]]}}, "entries"),
     ("bd", {"closure": "full"}, "closure"),
+    # the equilibrium density at ell_max 60 is past the truncation bound
+    ("bd", {"closure": {"type": "full"}, "ell_max": 60, "initial": {"kind": "equilibrium"}},
+     "ell_max"),
     ("mc-check", {"n_paths": "abc"}, "n_paths"),
     ("mc-check", {"payoff": "nope"}, "payoff"),
     ("sweep", {"eps_ladder": "abc"}, "eps_ladder"),

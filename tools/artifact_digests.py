@@ -7,9 +7,12 @@ Run from any directory; it imports ``coarsenlab`` from this checkout's
 config runs through ``harness.run_experiment`` into a temporary directory,
 and one line is printed per config: its name, the exit code, the number of
 files written and the digest, the first 16 hex digits of the sha256 over the
-lines ``<relative path> <file sha256>`` sorted by path.  Run it on two
-commits and compare the lines; equal digests mean byte-identical artifacts.
-The whole set takes a few minutes on two cores.
+lines ``<relative path> <file sha256>`` sorted by path, followed by the
+``summary.json`` scalars the benchmark gates (``L_end``, ``Lambda_end``, the
+duality residuals), printed in full precision.  Run it on two commits and
+compare the lines; equal digests mean byte-identical artifacts, and where
+they differ the scalars show how far the results moved.  The whole set takes
+a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -50,13 +54,28 @@ def tree_digest(root: str) -> tuple[int, str]:
     return len(lines), hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def gated_scalars(out: str) -> str:
+    """``key value`` pairs of the gated scalars in ``out/summary.json``."""
+    try:
+        with open(os.path.join(out, "summary.json")) as fh:
+            details = json.load(fh).get("details", {})
+    except OSError:
+        return ""
+    pairs = [(key, details[key]) for key in ("L_end", "Lambda_end") if key in details]
+    for group in ("residuals", "refined_residuals"):
+        pairs += [(f"{group}.{name}", vals["residual"])
+                  for name, vals in sorted(details.get(group, {}).items())]
+    return "".join(f"  {key} {value!r}" for key, value in pairs)
+
+
 def main() -> int:
     for name, config, seed, refine in CONFIGS:
         with tempfile.TemporaryDirectory() as out:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = run_experiment(dict(config), out, seed=seed, refine=refine)
             files, digest = tree_digest(out)
-        print(f"{name:<34} exit {code}  files {files:>4}  {digest}", flush=True)
+            scalars = gated_scalars(out)
+        print(f"{name:<34} exit {code}  files {files:>4}  {digest}{scalars}", flush=True)
     return 0
 
 

@@ -503,12 +503,21 @@ def _parse_mc(cfg: dict, seed: int, refine: bool):
         dt=_get(cfg, "dt", float, 1e-3, check=_positive),
         seed=seed,
     )
+    payoff = _get(cfg, "payoff", (str, list), "one", check=_payoff)
+    x_max, grid = _get(cfg, "x_max", float, 30.0,
+                       check=lambda v: (v, lsw_diffusive.Grid.log_graded(eps, v, n_cells)))
+
+    def probes(values: list) -> list:
+        # a path started at 0 is absorbed at once, and past x_max the adjoint
+        # value is the last cell's: neither compares the two methods
+        _require(len(values) > 0, "need at least one probe")
+        return _items(float, check=lambda x0: _require(
+            0.0 < x0 < x_max, f"must lie in (0, x_max = {x_max!r}), got {x0!r}"))(values)
+
     return functools.partial(
-        _run_mc, mc_cfg,
-        _get(cfg, "payoff", (str, list), "one", check=_payoff),
-        _get(cfg, "probes", list, [0.25, 0.5, 1.0, 1.5, 2.5], check=_items(float)),
-        _get(cfg, "x_max", float, 30.0,
-             check=lambda v: lsw_diffusive.Grid.log_graded(eps, v, n_cells)),
+        _run_mc, mc_cfg, payoff,
+        _get(cfg, "probes", list, [0.25, 0.5, 1.0, 1.5, 2.5], check=probes),
+        grid,
         _get(cfg, "grid_tol", float, 2e-3, check=_at_least(0.0)),
     )
 

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .banded import bracket, matvec, shifted, weighted_transpose
+from .banded import bracket, shifted, weighted_transpose
 from .diagnostics import TrajectorySeries, moments, output_times
 from .initial_data import InitialTail, cell_averages
 from .lsw_classical import LHistory
@@ -195,46 +195,41 @@ def _moment_l(cbar: np.ndarray, grid: Grid) -> float:
     return (float(np.cbrt(grid.centers) @ w) / number) ** 3
 
 
-def _mass_defect(L: float, base: float, scale: float, edges: np.ndarray,
+def _mass_defect(L: float, base: float, dt: float, edges: np.ndarray,
                  a_left: np.ndarray, a_right: np.ndarray) -> float:
-    """``base + scale * sum_j u_j(L) a_j r_j`` over the interior edges, the
+    """``base + dt * sum_j u_j(L) a_j r_j`` over the interior edges, the
     upwind state ``r_j`` taken from the left where ``u_j > 0``.  Module-level,
     so its arrays reach ``brentq`` through ``args`` and die with the call."""
     u = np.cbrt(edges / L) - 1.0
-    return base + scale * float(u @ np.where(u > 0, a_left, a_right))
+    return base + dt * float(u @ np.where(u > 0, a_left, a_right))
 
 
 def determine_L(
     c: np.ndarray,
     ops: _Operators,
     states: tuple[np.ndarray, np.ndarray],
-    dt: float | None = None,
+    dt: float,
 ) -> float:
     """Conservative transport parameter for the cell averages ``c``.
 
-    Root-find so the scheme's mass rate vanishes: the semi-discrete rate when
-    ``dt`` is None, the fully discrete per-step mass change when ``dt`` is
-    given.  ``states`` are ``ops.edge_states(c, limiter)``.  The search starts
-    from the moment value ``_moment_l``.
+    Root-find so the step of length ``dt`` does not change the mass.
+    ``states`` are ``ops.edge_states(c, limiter)``.  The search starts from
+    the moment value ``_moment_l``.
 
     The step is ``c_new = S^{-1} (c + dt * advective_rate)`` with
     ``S = I - dt * Diff`` independent of L, so its mass is ``y . (c + dt *
     advective_rate)`` with ``y = S^{-T}(x w)``: one transposed solve per call,
     after which each evaluation is O(n) (see ``_mass_defect``, where
-    ``a = diff(y / w)``).  The semi-discrete rate is the same with ``y = x w``.
+    ``a = diff(y / w)``).
     """
     grid = ops.grid
     x = grid.centers
     from_left, from_right = states
-    if dt is None:
-        z = x
-        base, scale = float((x * grid.widths) @ matvec(ops.diff, c)), 1.0
-    else:
-        # y / w, solved for directly: (W^{-1} S^T W)(y / w) = x
-        z = solve_banded((1, 1), shifted(dt, ops.diff_adjoint), x)
-        base, scale = float((z - x) @ (c * grid.widths)), dt
+    # y / w, solved for directly: (W^{-1} S^T W)(y / w) = x
+    z = solve_banded((1, 1), shifted(dt, ops.diff_adjoint), x)
+    base = float((z - x) @ (c * grid.widths))
     a = np.diff(z)
-    args = (base, scale, grid.edges[1:-1], a * from_left, a * from_right)
+    args = (base, dt, grid.edges[1:-1], a * from_left, a * from_right)
     l_mom = _moment_l(c, grid)
     # a larger L drifts more mass toward 0, so the defect decreases in L
     lo, hi = bracket(lambda L: _mass_defect(L, *args), 0.5 * l_mom, 2.0 * l_mom,

@@ -99,15 +99,6 @@ class TestDetermineL:
         assert np.allclose(dense, _dense_diffusion(ops.grid, ops.eps),
                            rtol=1e-13, atol=0.0)
 
-    def test_conserve_semi_discrete_zeroes_mass_rate(self):
-        c, ops = _exp_data()
-        states = ops.edge_states(c, True)
-        L = determine_L(c, ops, states)
-        rate = (_dense_diffusion(ops.grid, ops.eps) @ c
-                + ops.advective_rate(states, L))
-        xw = ops.grid.centers * ops.grid.widths
-        assert abs(float(xw @ rate)) <= 1e-12
-
     def test_conserve_fully_discrete_zeroes_step_change(self):
         # against the definition, one diffusion solve per defect evaluation
         c, ops = _exp_data()

@@ -51,6 +51,10 @@ CONFIG_FAULTS = [
      "ell_max"),
     ("mc-check", {"n_paths": "abc"}, "n_paths"),
     ("mc-check", {"payoff": "nope"}, "payoff"),
+    # nothing to compare: a probe absorbed at once, or past the adjoint grid
+    ("mc-check", {"probes": []}, "probes"),
+    ("mc-check", {"probes": [-1.0, 0.5]}, "probes"),
+    ("mc-check", {"probes": [0.5, 40.0]}, "probes"),
     ("sweep", {"eps_ladder": "abc"}, "eps_ladder"),
     # the rate at T needs two output strides (0.05) on each side
     ("sweep", {"eps_ladder": [0.5, 0.25], "T": 0.2, "t_margin": 0.01, "n_cells": 16,

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from coarsenlab.lsw_classical import LHistory
 from coarsenlab.lsw_diffusive import Grid, adjoint_solve
 from coarsenlab.sde import (
+    _EXP_ZERO,
     McConfig,
+    _simulate_batch,
     estimate_survival_payoff,
     exit_time_histogram,
     payoff_function,
@@ -67,6 +70,109 @@ class TestNoiseFreeLimit:
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError):
             simulate_path(_config(), -0.1)
+        with pytest.raises(ValueError):
+            estimate_survival_payoff(_config(n_paths=10), "one", -0.1)
+        with pytest.raises(ValueError):
+            exit_time_histogram(_config(n_paths=10), -0.1, bins=4)
+
+
+def _reference_batch(config, x_starts):
+    """The whole-batch Euler loop, kept as an oracle for ``_simulate_batch``.
+
+    Every step advances every path (dead ones are masked), evaluates exp for
+    the whole batch, and draws to the last step whether or not a path is
+    still alive.
+    """
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    n = len(x_starts)
+    n_steps = config.n_steps
+    dt = config.T / n_steps
+    sqrt_dt = math.sqrt(dt)
+    x = np.asarray(x_starts, dtype=float).copy()
+    alive = x > 0.0
+    exit_t = np.where(alive, np.nan, 0.0)
+    eps = config.eps
+    bridge = config.boundary == "bridge" and eps > 0.0
+    for k in range(n_steps):
+        z = rng.standard_normal(n)
+        u = rng.random(n) if bridge else None
+        if not alive.any():
+            continue
+        t_mid = k * dt
+        big_l = float(config.history.value(min(t_mid, config.history.t_end)))
+        xp = np.maximum(x, 0.0)
+        drift = -(1.0 - np.cbrt(xp / big_l))
+        if eps > 0.0:
+            sigma = math.sqrt(2.0 * eps) * (1.0 + xp / eps) ** (1.0 / 6.0)
+        else:
+            sigma = np.zeros_like(xp)
+        x_new = x + drift * dt + sigma * sqrt_dt * z
+        crossed = alive & (x_new <= 0.0)
+        if bridge:
+            interior = alive & (x_new > 0.0) & (x > 0.0)
+            with np.errstate(divide="ignore", over="ignore"):
+                p_cross = np.exp(-2.0 * x * x_new / (sigma * sigma * dt))
+            crossed |= interior & (u < p_cross)
+        exit_t = np.where(crossed, (k + 1) * dt, exit_t)
+        alive &= ~crossed
+        x = np.where(alive, x_new, 0.0)
+    return alive, x, exit_t
+
+
+def _assert_same_batch(config, starts):
+    got = _simulate_batch(config, starts)
+    want = _reference_batch(config, starts)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+    return got
+
+
+# L grows past its last knot before T, so the batch also reads the held value
+_GROWING = LHistory(times=np.array([0.0, 0.1, 0.3]), values=np.array([0.8, 1.1, 1.7]))
+_MIXED_STARTS = np.repeat([0.0, 0.01, 0.3, 1.0, 2.5], 300)
+
+
+class TestBatchMatchesReference:
+    @pytest.mark.parametrize("eps", [0.0, 0.002, 0.25])
+    @pytest.mark.parametrize("boundary", ["bridge", "naive"])
+    @pytest.mark.parametrize("growing", [False, True], ids=["constant-L", "growing-L"])
+    def test_mixed_starts(self, eps, boundary, growing):
+        T = 0.4
+        history = _GROWING if growing else LHistory.constant(0.9, T)
+        cfg = McConfig(eps=eps, history=history, T=T, n_paths=1, dt=2e-3,
+                       seed=5, boundary=boundary)
+        alive, _, _ = _assert_same_batch(cfg, _MIXED_STARTS)
+        assert 0 < alive.sum() < len(_MIXED_STARTS)
+
+    @pytest.mark.parametrize("boundary", ["bridge", "naive"])
+    def test_all_absorbed_before_T(self, boundary):
+        # travel time from 0.05 is about 0.03, so the batch stops long before T
+        cfg = McConfig(eps=0.002, history=LHistory.constant(1.0, 1.0), T=1.0,
+                       n_paths=1, dt=1e-3, seed=8, boundary=boundary)
+        alive, x, exit_t = _assert_same_batch(cfg, np.full(500, 0.05))
+        assert not alive.any() and np.all(x == 0.0)
+        assert exit_t.max() < 0.5
+
+    def test_nothing_alive_at_start(self):
+        starts = np.array([0.0, -0.0, 0.0])
+        alive, x, _ = _assert_same_batch(_config(n_paths=1, T=0.01), starts)
+        assert not alive.any() and np.signbit(x[1])
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        _simulate_batch(_config(T=0.02), _MIXED_STARTS)
+        _simulate_batch(_config(eps=0.002, T=1.0, dt=1e-2), np.full(100, 0.05))
+        assert threading.active_count() == before
+
+    def test_exp_is_zero_below_cutoff(self):
+        # the batch skips exp(q) for q < _EXP_ZERO because it is exactly 0 there
+        q = np.linspace(-760.0, _EXP_ZERO, 2_000_001)
+        assert q[-1] == _EXP_ZERO
+        assert np.all(np.exp(q) == 0.0)
+        assert np.all(np.exp(q[::-3]) == 0.0)  # strided, in another order
+        assert math.exp(_EXP_ZERO) == 0.0
 
 
 class TestEstimates:

@@ -38,6 +38,9 @@ CONFIGS = [
     ("bench duality-adjoint --refine", WORKLOADS["duality-adjoint"], DEFAULT_SEED, True),
     ("default sweep", {"kind": "sweep"}, None, False),
     ("ACCEPTANCE 12 classical", {"kind": "classical", "t_end": 0.25}, None, False),
+    # most paths are absorbed mid-run, so the Monte Carlo drops paths as it goes
+    ("mc-check absorbing", {"kind": "mc-check", "T": 1.0, "probes": [0.1, 0.25],
+                            "payoff": "cuberoot"}, None, False),
 ]
 
 

@@ -13,7 +13,8 @@ Modules:
 * :mod:`coarsenlab.sde` — Monte Carlo paths of the single-cluster process.
 * :mod:`coarsenlab.banded` — the tridiagonal layout and the root bracket
   shared by every implicit step.
-* :mod:`coarsenlab.diagnostics` — coarsening functionals and inequality checks.
+* :mod:`coarsenlab.diagnostics` — coarsening functionals, inequality checks and
+  the ``L(t)`` history the solvers share.
 * :mod:`coarsenlab.harness` — experiment orchestration and the CLI backend.
 """
 

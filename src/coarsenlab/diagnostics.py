@@ -5,7 +5,8 @@ pointwise moments) or a recorded :class:`TrajectorySeries` (for the
 time-dependent checks), never off solver internals, so the same checks apply
 to the discrete cluster system, the classical transport solver, and the
 diffusive finite-volume solver.  :func:`write_csv` is the one CSV writer for
-every artifact.
+every artifact.  :class:`LHistory` is the record of the transport parameter
+``L(t)`` that the classical, diffusive and Monte Carlo solvers share.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "TrajectorySeries",
+    "LHistory",
     "moments",
     "write_csv",
     "output_times",
@@ -68,6 +70,51 @@ class TrajectorySeries:
         """Write the columns ``t,<order...>`` with :func:`write_csv`."""
         data = np.column_stack([self.times] + [self.columns[k] for k in order])
         write_csv(path, ",".join(["t"] + order), data)
+
+
+L_FLOOR = 1e-8  # no L(t) is recorded below this
+
+
+@dataclass(frozen=True)
+class LHistory:
+    """Piecewise-linear record of L(t) on strictly increasing knots."""
+
+    times: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.times, dtype=float)
+        v = np.asarray(self.values, dtype=float)
+        if t.shape != v.shape or t.ndim != 1 or len(t) < 1:
+            raise ValueError("times/values must be matching 1-D arrays")
+        if np.any(np.diff(t) <= 0):
+            raise ValueError("knot times must be strictly increasing")
+        if np.any(v < L_FLOOR):
+            raise ValueError(f"L below floor {L_FLOOR}")
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "values", v)
+
+    @classmethod
+    def constant(cls, value: float, t_end: float) -> "LHistory":
+        return cls(times=np.array([0.0, t_end]), values=np.array([value, value]))
+
+    @property
+    def t_end(self) -> float:
+        return float(self.times[-1])
+
+    def value(self, s):
+        s = np.asarray(s, dtype=float)
+        if np.any(s < self.times[0] - 1e-12) or np.any(s > self.times[-1] + 1e-12):
+            raise ValueError("L lookup outside the recorded history")
+        return np.interp(s, self.times, self.values)
+
+    def extended(self, t_new: float, value: float) -> "LHistory":
+        if t_new <= self.times[-1]:
+            raise ValueError("new knot must advance in time")
+        return LHistory(
+            times=np.append(self.times, t_new),
+            values=np.append(self.values, value),
+        )
 
 
 def write_csv(path, header: str, rows) -> None:

@@ -497,7 +497,7 @@ def _parse_mc(cfg: dict, seed: int, refine: bool):
     mc_cfg = sde.McConfig(
         eps=eps,
         history=_get(cfg, "L", float, 1.0,
-                     check=lambda v: lsw_classical.LHistory.constant(v, big_t)),
+                     check=lambda v: diagnostics.LHistory.constant(v, big_t)),
         T=big_t,
         n_paths=_get(cfg, "n_paths", int, 200_000, check=_at_least(1)),
         dt=_get(cfg, "dt", float, 1e-3, check=_positive),

@@ -33,9 +33,8 @@ from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 from .banded import bracket, shifted, weighted_transpose
-from .diagnostics import TrajectorySeries, moments, output_times
+from .diagnostics import LHistory, TrajectorySeries, moments, output_times
 from .initial_data import InitialTail, cell_averages
-from .lsw_classical import LHistory
 
 __all__ = [
     "Grid",

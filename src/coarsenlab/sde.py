@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lsw_classical import LHistory
+from .diagnostics import LHistory
 
 __all__ = [
     "McConfig",

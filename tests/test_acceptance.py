@@ -15,9 +15,9 @@ import pytest
 from scipy.optimize import brentq
 
 from coarsenlab import bd, initial_data
-from coarsenlab.diagnostics import kohn_otto_report
+from coarsenlab.diagnostics import LHistory, kohn_otto_report
 from coarsenlab.harness import run_experiment
-from coarsenlab.lsw_classical import LHistory, characteristic_backward
+from coarsenlab.lsw_classical import characteristic_backward
 from coarsenlab.lsw_diffusive import DiffusiveRunConfig, run_diffusive
 from coarsenlab.rates import RateModel, equilibrium_table
 

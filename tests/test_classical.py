@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from coarsenlab import initial_data
+from coarsenlab.diagnostics import LHistory
 from coarsenlab.lsw_classical import (
     ClassicalRunConfig,
     ClassicalSolver,
-    LHistory,
+    _backward_feet,
     characteristic_backward,
     characteristic_jacobian,
     rate_semi_analytic,
@@ -28,6 +30,26 @@ def deterministic_exit_time(x: float) -> float:
     """Closed-form travel time to 0 under dx/dt = -(1 - x^{1/3}), L == 1."""
     u = x ** (1.0 / 3.0)
     return 3.0 * (-u * u / 2.0 - u - math.log1p(-u))
+
+
+# A history with a kink in L at every knot.
+KINKED = LHistory(times=np.array([0.0, 0.1, 0.2, 0.3]),
+                  values=np.array([1.0, 1.6, 1.1, 1.4]))
+
+
+def kinked_oracle(x: float, t: float) -> tuple[float, float]:
+    """(F(x,t), dF/dx) under KINKED for x > 0, by tight solves stopped at every knot."""
+
+    def rhs(s, y):
+        big_l = np.interp(s, KINKED.times, KINKED.values)
+        return [-(1.0 - np.cbrt(max(y[0], 0.0) / big_l)),
+                1.0 / np.cbrt(y[0] * y[0] * big_l)]
+
+    stops = [t, *(k for k in KINKED.times[::-1] if 0.0 < k < t), 0.0]
+    y = [x, 0.0]
+    for hi, lo in zip(stops[:-1], stops[1:]):
+        y = solve_ivp(rhs, (hi, lo), y, method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
+    return float(y[0]), math.exp(y[1] / 3.0)
 
 
 class TestBackwardCharacteristics:
@@ -70,6 +92,19 @@ class TestBackwardCharacteristics:
         with pytest.raises(ValueError):
             characteristic_backward(-0.1, 0.5, hist)
 
+    def test_kinked_history_matches_oracle(self):
+        xs = np.array([0.05, 0.4, 1.5, 4.0])
+        for t in (0.1, 0.25, 0.3):
+            feet = _backward_feet(xs, t, KINKED)
+            expected = [kinked_oracle(x, t)[0] for x in xs]
+            np.testing.assert_allclose(feet, expected, rtol=1e-11, atol=0.0)
+
+    def test_rejects_time_beyond_history(self):
+        with pytest.raises(ValueError, match="outside the recorded history"):
+            _backward_feet(np.array([0.0, 0.5]), 0.31, KINKED)
+        with pytest.raises(ValueError, match="outside the recorded history"):
+            characteristic_backward(0.5, 0.31, KINKED)
+
 
 class TestJacobian:
     def test_identity_at_t0(self):
@@ -104,6 +139,12 @@ class TestJacobian:
         assert characteristic_jacobian(0.0, 0.5, hist) == pytest.approx(
             extrapolated, rel=2e-3
         )
+
+    def test_kinked_history_matches_oracle(self):
+        for x in (0.05, 0.4, 1.5):
+            for t in (0.1, 0.25, 0.3):
+                assert characteristic_jacobian(x, t, KINKED) == pytest.approx(
+                    kinked_oracle(x, t)[1], rel=1e-11, abs=0.0)
 
     def test_within_unit_interval(self):
         hist = LHistory.constant(0.9, 2.0)

@@ -4,6 +4,7 @@ from scipy.optimize import brentq
 
 from coarsenlab import initial_data
 from coarsenlab.banded import bracket
+from coarsenlab.diagnostics import LHistory
 from coarsenlab.lsw_diffusive import (
     DiffusiveRunConfig,
     Grid,
@@ -15,7 +16,6 @@ from coarsenlab.lsw_diffusive import (
     run_diffusive,
     smoothed_indicator,
 )
-from coarsenlab.lsw_classical import LHistory
 
 
 class TestDiffusionCoefficient:

@@ -243,6 +243,14 @@ class TestClassicalExperiment:
         summary = json.load(open(tmp_path / "summary.json"))
         assert summary["all_passed"]
 
+    @pytest.mark.parametrize("dt", [0.05, 0.02])
+    def test_run_shorter_than_half_a_step(self, tmp_path, dt):
+        # round(t_end / dt) is 0 here; the run takes one step of length t_end
+        cfg = {"kind": "classical", "t_end": 0.01, "dt": dt}
+        assert run_experiment(cfg, str(tmp_path)) == 0
+        times = np.loadtxt(tmp_path / "series.csv", delimiter=",", skiprows=1)[:, 0]
+        assert times.tolist() == [0.0, 0.01]
+
 
 class TestDiffusiveExperiment:
     def test_artifacts_and_checks(self, tmp_path):

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from coarsenlab.lsw_classical import LHistory
+from coarsenlab.diagnostics import LHistory
 from coarsenlab.lsw_diffusive import Grid, adjoint_solve
 from coarsenlab.sde import (
     _EXP_ZERO,

@@ -17,10 +17,10 @@ makes the closure hold at the committed state (this is what keeps
 conservation structural rather than approximate).  An adaptive explicit
 integrator is available as a cross-check.
 
-The model functions work on plain arrays.  ``bd_flux`` and ``bd_rhs`` take
-the densities c_ell for ell = 1..ell_max, whose first entry is the monomer
-slot; the monomer closures take only the cluster densities for
-ell = 2..ell_max, which is what the steppers carry as their state.
+The model functions work on plain arrays.  ``bd_rhs`` takes the densities
+c_ell for ell = 1..ell_max, whose first entry is the monomer slot; the monomer
+closures take only the cluster densities for ell = 2..ell_max, which is what
+the steppers carry as their state.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "DirichletClosure",
     "BdRunConfig",
     "BdRunError",
-    "bd_flux",
     "monomer_closure_full",
     "monomer_closure_dirichlet",
     "bd_rhs",
@@ -106,21 +105,6 @@ class BdRunConfig:
             raise ValueError("t_end, dt_init and output_stride must be positive")
 
 
-def bd_flux(c: np.ndarray, model: RateModel, c1: float, ell: int) -> float:
-    """Flux J_ell = a_ell c1 c_ell - b_(ell+1) c_(ell+1); zero at the cutoff.
-
-    ``c`` holds c_ell for ell = 1..ell_max.
-    """
-    ell_max = len(c)
-    if not 1 <= ell <= ell_max:
-        raise ValueError(f"ell must be in [1, {ell_max}]")
-    if ell == ell_max:
-        return 0.0
-    a = model.attach(ell)
-    b_next = model.detach(ell + 1)
-    return float(a * c1 * c[ell - 1] - b_next * c[ell])
-
-
 def monomer_closure_full(c: np.ndarray, rho: float) -> float:
     """c1 = max(rho - sum_(ell>=2) ell c_ell, 0); ``c`` holds ell = 2..ell_max."""
     ells = np.arange(2, len(c) + 2)
@@ -154,8 +138,8 @@ def bd_rhs(
     the conserved total mass has zero derivative) and 0 for the Dirichlet
     closure.
     """
-    # fluxes J_ell for ell = 1..ell_max (0 at the cutoff), with c(1,t) inside
-    # J_1 equal to c1 for the full closure and 0 for the Dirichlet closure
+    # fluxes J_ell = a_ell c1 c_ell - b_(ell+1) c_(ell+1), 0 at the cutoff; the
+    # c_1 in J_1 is c1 for the full closure and 0 for the Dirichlet closure
     cc = c.copy()
     if isinstance(closure, FullClosure):
         c1 = cc[0] = monomer_closure_full(c[1:], closure.rho)

@@ -514,10 +514,12 @@ def _parse_mc(cfg: dict, seed: int, refine: bool):
         return _items(float, check=lambda x0: _require(
             0.0 < x0 < x_max, f"must lie in (0, x_max = {x_max!r}), got {x0!r}"))(values)
 
+    starts = _get(cfg, "probes", list, [0.25, 0.5, 1.0, 1.5, 2.5], check=probes)
+    # probe i draws from the Philox key seed + i, which must stay below 2**128
+    _require(seed + len(starts) <= 2**128,
+             f"seed: the last probe's Philox key {seed + len(starts) - 1} reaches 2**128")
     return functools.partial(
-        _run_mc, mc_cfg, payoff,
-        _get(cfg, "probes", list, [0.25, 0.5, 1.0, 1.5, 2.5], check=probes),
-        grid,
+        _run_mc, mc_cfg, payoff, starts, grid,
         _get(cfg, "grid_tol", float, 2e-3, check=_at_least(0.0)),
     )
 
@@ -573,7 +575,7 @@ def _duality_residuals(run_cfg: lsw_diffusive.DiffusiveRunConfig, x0_ind: float)
     series, history, snapshots, solver = lsw_diffusive.run_diffusive(run_cfg)
     _, c_final = snapshots[-1]
     grid = solver.grid
-    c0 = initial_data.cell_averages(run_cfg.tail, grid.edges, normalize=True)
+    c0 = initial_data.cell_averages(run_cfg.tail, grid.edges)
     payoffs = {
         "one": np.ones(grid.n_cells),
         "cuberoot": np.cbrt(grid.centers),
@@ -634,7 +636,8 @@ def run_experiment(config: dict, out_dir: str, seed: int | None = None,
     try:
         _require(isinstance(config, dict), "config must be a JSON object")
         kind = _get(config, "kind", str, check=_one_of(*KINDS))
-        seed_val = _get(config, "seed", int, 0) if seed is None else seed
+        seed_val = _get(config if seed is None else {"seed": seed}, "seed", int, 0,
+                        check=_at_least(0))
         run = KINDS[kind](config, seed_val, refine)
     except ConfigError as exc:
         print(f"config error: {exc}")

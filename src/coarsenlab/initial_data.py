@@ -150,22 +150,18 @@ def from_spec(spec: dict) -> InitialTail:
     raise ValueError(f"unknown initial data kind: {kind!r}")
 
 
-def cell_averages(tail: InitialTail, edges: np.ndarray, normalize: bool = True) -> np.ndarray:
+def cell_averages(tail: InitialTail, edges: np.ndarray) -> np.ndarray:
     """Exact cell averages of c0 on a grid, via differences of the tail.
 
-    With ``normalize`` the averages are rescaled so the discrete mass
-    (midpoint-weighted) is exactly 1, which the conservative solver needs as
-    its reference value.
+    The averages are rescaled so the discrete mass (midpoint-weighted) is
+    exactly 1, which the conservative solver needs as its reference value.
     """
     edges = np.asarray(edges, dtype=float)
     w = tail.w0(edges)
     widths = np.diff(edges)
-    cbar = (w[:-1] - w[1:]) / widths
-    cbar = np.maximum(cbar, 0.0)
-    if normalize:
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        mass = float(centers @ (cbar * widths))
-        if mass <= 0:
-            raise ValueError("no mass on the grid")
-        cbar = cbar / mass
-    return cbar
+    cbar = np.maximum((w[:-1] - w[1:]) / widths, 0.0)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    mass = float(centers @ (cbar * widths))
+    if mass <= 0:
+        raise ValueError("no mass on the grid")
+    return cbar / mass

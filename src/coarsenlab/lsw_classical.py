@@ -78,6 +78,20 @@ def _solve_back(rhs, y0, t: float, history: LHistory) -> np.ndarray:
     return y
 
 
+def _velocity(x, big_l):
+    """Transport velocity (x/L)^{1/3} - 1, with x clipped at 0."""
+    return -(1.0 - np.cbrt(np.maximum(x, 0.0) / big_l))
+
+
+def _checked_feet(feet: np.ndarray) -> np.ndarray:
+    """Feet of a backward solve, raising if a path escaped or went negative."""
+    if np.any(feet > _X_LIMIT):
+        raise RuntimeError(f"characteristic escaped beyond x = {_X_LIMIT:g}")
+    if np.any(feet < -1e-9):
+        raise AssertionError("backward characteristic went negative")
+    return np.maximum(feet, 0.0)
+
+
 def _backward_feet(xs: np.ndarray, t: float, history: LHistory) -> np.ndarray:
     """Feet F(x, t) for a batch of terminal positions, one vector solve."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -88,15 +102,38 @@ def _backward_feet(xs: np.ndarray, t: float, history: LHistory) -> np.ndarray:
     times, values = history.times, history.values
 
     def rhs(s, y):
-        y = np.maximum(y, 0.0)
-        return -(1.0 - np.cbrt(y / np.interp(s, times, values)))
+        return _velocity(y, np.interp(s, times, values))
 
-    feet = _solve_back(rhs, xs, t, history)
-    if np.any(feet > _X_LIMIT):
-        raise RuntimeError(f"characteristic escaped beyond x = {_X_LIMIT:g}")
-    if np.any(feet < -1e-9):
-        raise AssertionError("backward characteristic went negative")
-    return np.maximum(feet, 0.0)
+    return _checked_feet(_solve_back(rhs, xs, t, history))
+
+
+def _foot_and_jacobian(x: float, t: float, history: LHistory) -> tuple[float, float]:
+    """(F(x,t), dF/dx) from one solve, dF/dx = exp[-(1/3) int_0^t (x^2 L)^{-1/3} ds].
+
+    At x = 0 the integrand has an integrable (t-s)^{-2/3} blow-up at s = t;
+    the first slice is handled by the local expansion x(s) ~ t - s, so the
+    foot is that of the path through (eta, t - eta), O(eta^{4/3}) from F(0,t).
+    """
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    if t == 0.0:
+        return float(x), 1.0
+    x_start, t_start, seed = float(x), t, 0.0
+    if x == 0.0:
+        eta = min(1e-9, 0.5 * t)
+        seed = 3.0 * eta ** (1.0 / 3.0) / np.cbrt(history.value(t))
+        x_start, t_start = eta, t - eta
+    times, values = history.times, history.values
+
+    def rhs(s, y):
+        pos = max(y[0], 1e-300)
+        big_l = np.interp(s, times, values)
+        return [_velocity(y[0], big_l), 1.0 / np.cbrt(pos * pos * big_l)]
+
+    end = _solve_back(rhs, [x_start, 0.0], t_start, history)
+    foot = float(_checked_feet(end[:1])[0])
+    integral = seed - float(end[1])  # sign: integrated from t down to 0
+    return foot, math.exp(-integral / 3.0)
 
 
 def characteristic_backward(x: float, t: float, history: LHistory) -> float:
@@ -105,36 +142,8 @@ def characteristic_backward(x: float, t: float, history: LHistory) -> float:
 
 
 def characteristic_jacobian(x: float, t: float, history: LHistory) -> float:
-    """dF/dx = exp[-(1/3) int_0^t ds / (x(s)^2 L(s))^{1/3}] along the path.
-
-    At x = 0 the integrand has an integrable (t-s)^{-2/3} blow-up at s = t;
-    the first slice is handled by the local expansion x(s) ~ t - s.
-    """
-    if t == 0.0:
-        return 1.0
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    eta = 0.0
-    seed = 0.0
-    if x == 0.0:
-        eta = min(1e-9, 0.5 * t)
-        seed = 3.0 * eta ** (1.0 / 3.0) / np.cbrt(history.value(t))
-        x_start, t_start = eta, t - eta
-    else:
-        x_start, t_start = float(x), t
-    times, values = history.times, history.values
-
-    def rhs(s, y):
-        pos = max(y[0], 1e-300)
-        big_l = np.interp(s, times, values)
-        return [
-            -(1.0 - np.cbrt(max(y[0], 0.0) / big_l)),
-            1.0 / np.cbrt(pos * pos * big_l),
-        ]
-
-    end = _solve_back(rhs, [x_start, 0.0], t_start, history)
-    integral = seed - float(end[1])  # sign: integrated from t down to 0
-    return math.exp(-integral / 3.0)
+    """dF/dx along the backward characteristic ending at x at time t."""
+    return _foot_and_jacobian(x, t, history)[1]
 
 
 @dataclass
@@ -257,12 +266,9 @@ def rate_semi_analytic(solver: ClassicalSolver, t: float) -> float:
     d(Lambda)/dt = c0(F(0,t)) * dF/dx(0+, t) / N(t)^2, using that the foot of
     the boundary characteristic advances at the rate of the edge Jacobian.
     """
-    hist = solver.history
-    foot = characteristic_backward(0.0, t, hist)
-    jac = characteristic_jacobian(0.0, t, hist)
+    foot, jac = _foot_and_jacobian(0.0, t, solver.history)
     n_t = float(solver.tail.w0(foot))
-    c_at_foot = float(solver.tail.c0(foot))
-    return c_at_foot * jac / (n_t * n_t)
+    return float(solver.tail.c0(foot)) * jac / (n_t * n_t)
 
 
 def run_classical(config: ClassicalRunConfig) -> tuple[TrajectorySeries, LHistory, ClassicalSolver]:

@@ -274,7 +274,7 @@ class DiffusiveSolver:
             x_max = config.tail.x_max + 4.0 * (1.0 + config.t_end)
         self.grid = Grid.log_graded(config.eps, x_max, config.n_cells)
         self.ops = _Operators(self.grid, config.eps)
-        self.cbar = cell_averages(config.tail, self.grid.edges, normalize=True)
+        self.cbar = cell_averages(config.tail, self.grid.edges)
         self.t = 0.0
         self.L = _moment_l(self.cbar, self.grid)
         self.neg_clips: list[float] = []
@@ -369,7 +369,6 @@ def adjoint_solve(
     history: LHistory,
     eps: float,
     grid: Grid,
-    n_steps: int | None = None,
 ) -> np.ndarray:
     """Backward solve of the adjoint equation; returns w(., 0) on cell centers.
 
@@ -387,8 +386,7 @@ def adjoint_solve(
     if w.ndim not in (1, 2) or w.shape[0] != grid.n_cells:
         raise ValueError(f"terminal payoff of shape {w.shape} does not match the "
                          f"grid's {grid.n_cells} cells")
-    if n_steps is None:
-        n_steps = max(64, 4 * grid.n_cells)
+    n_steps = max(64, 4 * grid.n_cells)
     dt = T / n_steps
     for k in range(n_steps):
         t_new = T - (k + 1) * dt

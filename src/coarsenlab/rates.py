@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "RateModel",
     "EquilibriumTable",
-    "cluster_rates",
     "equilibrium_table",
     "critical_density",
 ]
@@ -45,17 +45,7 @@ class RateModel:
 
     def detach(self, ell):
         """Evaporation rate b_ell; accepts scalars or arrays."""
-        ell = np.asarray(ell, dtype=float)
         return self.attach(ell) * (self.z_s + self.q / np.cbrt(ell))
-
-
-def cluster_rates(model: RateModel, ell: int) -> tuple[float, float]:
-    """Return (a_ell, b_ell) for a single cluster size ``ell >= 1``."""
-    if ell < 1:
-        raise ValueError(f"cluster size must be >= 1, got {ell}")
-    a = model.a1 * ell ** (1.0 / 3.0)
-    b = a * (model.z_s + model.q * ell ** (-1.0 / 3.0))
-    return a, b
 
 
 @dataclass(frozen=True)
@@ -69,16 +59,6 @@ class EquilibriumTable:
 
     log_q: np.ndarray  # log Q_ell, index 0 <-> ell = 1
     ell_max: int
-
-    def q(self, ell: int) -> float:
-        """Q_ell as a float (may underflow to 0 for very large ell)."""
-        if not 1 <= ell <= self.ell_max:
-            raise ValueError(f"ell must be in [1, {self.ell_max}]")
-        return math.exp(self.log_q[ell - 1])
-
-    def values(self) -> np.ndarray:
-        """Array of Q_ell, ell = 1..ell_max."""
-        return np.exp(self.log_q)
 
     def density(self, c1: float) -> np.ndarray:
         """Equilibrium densities c_ell = Q_ell c1**ell for ell = 1..ell_max."""
@@ -101,36 +81,28 @@ def equilibrium_table(model: RateModel, ell_max: int) -> EquilibriumTable:
 
 _CRITICAL_CAP = 10**6
 _CRITICAL_STREAK = 5
+_CRITICAL_FIRST = 256  # terms summed first; the table doubles from there
 
 
 def critical_density(model: RateModel, tol: float = 1e-12) -> float:
     """Mass density of the saturated equilibrium, sum_ell ell Q_ell z_s**ell.
 
     The series is truncated once the term ``ell * Q_ell * z_s**ell`` has been
-    below ``tol`` times the partial sum for 5 consecutive ell (guarding
+    below ``tol`` times the partial sum for 5 consecutive ell >= 2 (guarding
     against non-monotone early terms).  Raises if the cap of 1e6 terms is hit,
     which signals pathological parameters.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    log_zs = math.log(model.z_s)
-    log_q = 0.0
-    total = model.z_s  # ell = 1 term
-    streak = 0
-    for ell in range(1, _CRITICAL_CAP):
-        a, _ = cluster_rates(model, ell)
-        _, b_next = cluster_rates(model, ell + 1)
-        log_q += math.log(a) - math.log(b_next)
-        log_term = math.log(ell + 1) + log_q + (ell + 1) * log_zs
-        term = math.exp(log_term) if log_term > -745.0 else 0.0
-        total += term
-        if term < tol * total:
-            streak += 1
-            if streak >= _CRITICAL_STREAK:
-                return total
-        else:
-            streak = 0
-    raise RuntimeError(
-        "critical_density series did not converge within 1e6 terms; "
-        "check rate parameters"
-    )
+    n = _CRITICAL_FIRST
+    while True:
+        terms = np.arange(1, n + 1) * equilibrium_table(model, n).density(model.z_s)
+        totals = np.cumsum(terms)
+        small = terms[1:] < tol * totals[1:]  # ell = 2..n
+        streaks = sliding_window_view(small, _CRITICAL_STREAK).all(axis=1)
+        if streaks.any():
+            return float(totals[np.argmax(streaks) + _CRITICAL_STREAK])
+        if n == _CRITICAL_CAP:
+            raise RuntimeError("critical_density series did not converge within 1e6 "
+                               "terms; check rate parameters")
+        n = min(2 * n, _CRITICAL_CAP)

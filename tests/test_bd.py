@@ -17,31 +17,41 @@ def coarsening_data(ell_max=300, lo=2, hi=20):
     return gamma
 
 
+def fluxes(c, c1):
+    """J_ell for ell = 1..ell_max as ``bd_rhs`` forms them at monomer density c1.
+
+    The full closure is given the total mass that makes its monomer density
+    c1; the fluxes are then the sums of dc/dt above ell, which telescope to
+    J_ell since the cutoff flux is zero.
+    """
+    c = np.concatenate(([c1], c[1:]))
+    rho = c1 + float(np.arange(2, len(c) + 1) @ c[1:])
+    dc = bd.bd_rhs(c, MODEL, bd.FullClosure(rho=rho))
+    return np.append(np.cumsum(dc[:0:-1])[::-1], 0.0)
+
+
 class TestFlux:
     def test_equilibrium_fluxes_vanish(self):
         tab = equilibrium_table(MODEL, 30)
         c1 = 0.7
-        c = tab.density(c1)
-        for ell in range(1, 30):
-            assert bd.bd_flux(c, MODEL, c1, ell) == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_allclose(fluxes(tab.density(c1), c1), 0.0, rtol=0.0, atol=1e-15)
 
     def test_pure_attachment(self):
         c = np.zeros(5)
         c[0] = 1.0
-        assert bd.bd_flux(c, MODEL, 1.0, 1) == pytest.approx(MODEL.a1)
+        assert fluxes(c, 1.0)[0] == pytest.approx(MODEL.a1)
 
     def test_hand_value(self):
         c = np.array([1.5, 0.1, 0.05, 0.0])
         expected = 2 ** (1 / 3) * 1.5 * 0.1 - 3 ** (1 / 3) * (1 + 3 ** (-1 / 3)) * 0.05
-        assert bd.bd_flux(c, MODEL, 1.5, 2) == pytest.approx(expected, abs=1e-12)
+        assert fluxes(c, 1.5)[1] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.066876, abs=1e-6)
 
     def test_cutoff_flux_is_zero(self):
-        assert bd.bd_flux(np.ones(6), MODEL, 1.0, 6) == 0.0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            bd.bd_flux(np.ones(6), MODEL, 1.0, 7)
+        # the top bin only gains from below: dc_6/dt = J_5 = a_5 c1 c_5 - b_6 c_6
+        c = np.ones(6)
+        dc = bd.bd_rhs(c, MODEL, bd.FullClosure(rho=float(np.arange(1, 7).sum())))
+        assert dc[-1] == pytest.approx(float(MODEL.attach(5) - MODEL.detach(6)), rel=1e-14)
 
 
 class TestClosures:
@@ -115,11 +125,10 @@ class TestRhs:
             c1 = bd.monomer_closure_full(c[1:], rho)
             c[0] = c1
             dc = bd.bd_rhs(c, MODEL, bd.FullClosure(rho=rho))
-            fluxes = np.array(
-                [bd.bd_flux(c, MODEL, c1, ell) for ell in range(1, 31)]
-            )
+            j = np.append(MODEL.attach(ells[:-1]) * c1 * c[:-1]
+                          - MODEL.detach(ells[1:]) * c[1:], 0.0)
             lhs = float(ells[1:] @ dc[1:])
-            rhs = fluxes[0] + fluxes.sum()
+            rhs = j[0] + j.sum()
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-13)
 
     def test_dirichlet_mass_derivative_vanishes(self):

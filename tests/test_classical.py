@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from coarsenlab import initial_data
+from coarsenlab import initial_data, lsw_classical
 from coarsenlab.diagnostics import LHistory
 from coarsenlab.lsw_classical import (
     ClassicalRunConfig,
@@ -146,11 +146,50 @@ class TestJacobian:
                 assert characteristic_jacobian(x, t, KINKED) == pytest.approx(
                     kinked_oracle(x, t)[1], rel=1e-11, abs=0.0)
 
+    def test_rejects_negative_terminal(self):
+        # checked before the t = 0 shortcut, as for the feet
+        hist = LHistory.constant(1.0, 1.0)
+        for t in (0.0, 0.5):
+            with pytest.raises(ValueError):
+                characteristic_jacobian(-0.5, t, hist)
+
     def test_within_unit_interval(self):
         hist = LHistory.constant(0.9, 2.0)
         for x in (0.0, 0.3, 1.2, 5.0):
             j = characteristic_jacobian(x, 1.5, hist)
             assert 0.0 < j <= 1.0 + 1e-12
+
+
+class TestSemiAnalyticRate:
+    @staticmethod
+    def kinked_solver():
+        solver = ClassicalSolver(ClassicalRunConfig(
+            tail=initial_data.exponential_moment(), t_end=0.3))
+        solver.history = KINKED
+        return solver
+
+    def test_kinked_history_matches_two_solve_formula(self):
+        # the rate's one solve starts eta = 1e-9 off the boundary, so its foot
+        # differs from characteristic_backward's by O(eta^{4/3})
+        solver = self.kinked_solver()
+        tail = solver.tail
+        for t in (0.1, 0.25, 0.3):
+            foot = characteristic_backward(0.0, t, KINKED)
+            jac = characteristic_jacobian(0.0, t, KINKED)
+            expected = float(tail.c0(foot)) * jac / float(tail.w0(foot)) ** 2
+            assert rate_semi_analytic(solver, t) == pytest.approx(expected, rel=1e-10)
+
+    def test_one_backward_solve(self, monkeypatch):
+        calls = []
+        solve_back = lsw_classical._solve_back
+
+        def counted(*args):
+            calls.append(args)
+            return solve_back(*args)
+
+        monkeypatch.setattr(lsw_classical, "_solve_back", counted)
+        rate_semi_analytic(self.kinked_solver(), 0.25)
+        assert len(calls) == 1
 
 
 class TestLHistory:

@@ -18,10 +18,8 @@ M_EXPONENTIAL = 1.3890792402188857
 def _exp_grid_weights(n_cells=3000, x_max=60.0):
     """(cell centers, number per cell) for the exponential-moment profile."""
     edges = np.linspace(0.0, x_max, n_cells + 1)
-    cbar = initial_data.cell_averages(
-        initial_data.exponential_moment(), edges, normalize=False
-    )
-    return 0.5 * (edges[:-1] + edges[1:]), cbar * np.diff(edges)
+    w = initial_data.exponential_moment().w0(edges)
+    return 0.5 * (edges[:-1] + edges[1:]), w[:-1] - w[1:]
 
 
 def _sizes(n):

@@ -216,8 +216,7 @@ class TestAdjoint:
         # here we just check the solve is stable and stays within [0, 1]
         grid = Grid.log_graded(0.25, 20.0, 128)
         hist = LHistory.constant(1.0, 0.25)
-        w = adjoint_solve(lambda x: np.ones_like(x), 0.25, hist, 0.25, grid,
-                          n_steps=128)
+        w = adjoint_solve(lambda x: np.ones_like(x), 0.25, hist, 0.25, grid)
         assert np.all(w >= -1e-12)
         assert np.all(w <= 1.0 + 1e-12)
 

@@ -63,9 +63,12 @@ CONFIG_FAULTS = [
                "classical_dt": 0.05, "panels": 2, "nodes_per_panel": 2}, "T"),
     ("classical", {"panels": "x"}, "panels"),
     ("classical", {"initial": {"kind": "compact-bump"}}, "initial"),
+    # probe i draws from the Philox key seed + i, which must stay below 2**128
+    ("mc-check", {"seed": 2**128 - 3}, "seed"),
+    ("mc-check", {"seed": 2**128, "probes": [1.0]}, "seed"),
 ] + [
     (kind, {"seed": seed}, "seed")
-    for kind in KINDS for seed in ("abc", [1])
+    for kind in KINDS for seed in ("abc", [1], -5)
 ]
 
 
@@ -93,6 +96,25 @@ class TestConfigErrors:
         out = capsys.readouterr().out
         assert out.startswith("config error:") and field in out
         assert not os.listdir(tmp_path)  # nothing runs, nothing is written
+
+    def test_negative_seed_argument_exits_2(self, tmp_path, capsys):
+        cfg = {"kind": "mc-check", "n_paths": 10, "T": 0.01, "dt": 0.005, "n_cells": 64}
+        assert run_experiment(cfg, str(tmp_path), seed=-1) == 2
+        assert "seed" in capsys.readouterr().out
+        assert not os.listdir(tmp_path)
+
+    def test_largest_philox_key_is_accepted(self):
+        valid = {"kind": "mc-check", **TINY["mc-check"][0]}  # one probe
+        KINDS["mc-check"](valid, 2**128 - 1, False)
+
+    def test_cli_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_paths": 10, "T": 0.01, "dt": 0.005}))
+        out = tmp_path / "out"
+        assert cli.main(["mc-check", "--config", str(cfg_path), "--out", str(out),
+                         "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_cli_exits_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

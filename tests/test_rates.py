@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from coarsenlab.rates import (
     RateModel,
-    cluster_rates,
     critical_density,
     equilibrium_table,
 )
@@ -19,23 +18,19 @@ RHO_CRIT_REF = 4.4684877653720019887
 
 class TestClusterRates:
     def test_unit_parameters_monomer(self):
-        a, b = cluster_rates(RateModel(1, 1, 1), 1)
-        assert a == 1.0
-        assert b == 2.0
+        model = RateModel(1, 1, 1)
+        assert model.attach(1) == 1.0
+        assert model.detach(1) == 2.0
 
     def test_unit_parameters_dimer(self):
-        a, b = cluster_rates(RateModel(1, 1, 1), 2)
-        assert a == pytest.approx(2 ** (1 / 3), abs=1e-12)
-        assert b == pytest.approx(2 ** (1 / 3) + 1, abs=1e-12)
+        model = RateModel(1, 1, 1)
+        assert model.attach(2) == pytest.approx(2 ** (1 / 3), abs=1e-12)
+        assert model.detach(2) == pytest.approx(2 ** (1 / 3) + 1, abs=1e-12)
 
     def test_zero_surface_tension_rejected(self):
         # q = 0 violates the model constraints even though the formula extends
         with pytest.raises(ValueError):
             RateModel(2, 0.5, 0)
-
-    def test_rejects_invalid_size(self):
-        with pytest.raises(ValueError):
-            cluster_rates(RateModel(1, 1, 1), 0)
 
     @given(
         a1=st.floats(0.1, 10),
@@ -46,8 +41,7 @@ class TestClusterRates:
     @settings(max_examples=200, deadline=None)
     def test_evaporation_dominates_saturated_attachment(self, a1, z_s, q, ell):
         model = RateModel(a1, z_s, q)
-        a, b = cluster_rates(model, ell)
-        assert b > a * z_s
+        assert model.detach(ell) > model.attach(ell) * z_s
 
     def test_rate_ratio_decreases_to_saturation(self):
         model = RateModel(1.3, 0.7, 2.1)
@@ -61,19 +55,18 @@ class TestClusterRates:
 class TestEquilibriumTable:
     def test_q1_is_one(self):
         tab = equilibrium_table(RateModel(2.0, 0.5, 3.0), 10)
-        assert tab.q(1) == 1.0
+        assert np.exp(tab.log_q[0]) == 1.0
 
     def test_q2_hand_value(self):
         tab = equilibrium_table(RateModel(1, 1, 1), 2)
-        assert tab.q(2) == pytest.approx(1.0 / (2 ** (1 / 3) + 1), rel=1e-12)
+        assert np.exp(tab.log_q[1]) == pytest.approx(1.0 / (2 ** (1 / 3) + 1), rel=1e-12)
 
     def test_recursion_identity(self):
         model = RateModel(1.7, 0.9, 1.3)
-        tab = equilibrium_table(model, 50)
-        for ell in range(1, 50):
-            a, _ = cluster_rates(model, ell)
-            _, b_next = cluster_rates(model, ell + 1)
-            assert tab.q(ell + 1) * b_next == pytest.approx(tab.q(ell) * a, rel=1e-12)
+        q = np.exp(equilibrium_table(model, 50).log_q)
+        ells = np.arange(1, 50)
+        np.testing.assert_allclose(q[1:] * model.detach(ells + 1), q[:-1] * model.attach(ells),
+                                   rtol=1e-12, atol=0.0)
 
     def test_large_size_decay_rate(self):
         # against the leading-order decay exp[-(3q/2z_s) ell^(2/3)] with the
@@ -98,6 +91,22 @@ class TestEquilibriumTable:
             equilibrium_table(RateModel(1, 1, 1), 1)
 
 
+def critical_density_loop(model, tol=1e-12):
+    """Term-by-term reference: log Q_ell accumulated in a Python loop from
+    scalar rates, stopped after 5 consecutive terms below tol times the sum."""
+    log_q, total, streak, ell = 0.0, model.z_s, 0, 1
+    while streak < 5:
+        a = model.a1 * ell ** (1.0 / 3.0)
+        a_next = model.a1 * (ell + 1) ** (1.0 / 3.0)
+        b_next = a_next * (model.z_s + model.q * (ell + 1) ** (-1.0 / 3.0))
+        log_q += math.log(a) - math.log(b_next)
+        ell += 1
+        term = math.exp(math.log(ell) + log_q + ell * math.log(model.z_s))
+        total += term
+        streak = streak + 1 if term < tol * total else 0
+    return total
+
+
 class TestCriticalDensity:
     def test_reference_value(self):
         value = critical_density(RateModel(1, 1, 1), tol=1e-12)
@@ -117,3 +126,29 @@ class TestCriticalDensity:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             critical_density(RateModel(1, 1, 1), tol=0.0)
+
+    @pytest.mark.parametrize("params, rel", [
+        ((1, 1, 1), 1e-11), ((2.0, 0.5, 3.0), 1e-13),
+        # thousands of terms, past the first table the truncated sum builds
+        ((1, 1, 0.05), 1e-9),
+    ])
+    def test_matches_brute_force_sum(self, params, rel):
+        # the truncation drops terms each below tol = 1e-12 of the sum; where
+        # they decay slowly, hundreds of them add up to the bound ``rel``
+        model = RateModel(*params)
+        table = equilibrium_table(model, 20_000)
+        brute = float(np.arange(1, 20_001) @ table.density(model.z_s))
+        assert critical_density(model) == pytest.approx(brute, rel=rel)
+
+    @pytest.mark.parametrize("params", [(1, 1, 1), (7.3, 1, 1), (1, 1, 2), (1, 1, 0.05),
+                                        (1.1, 0.8, 0.6)])
+    def test_matches_term_by_term_loop(self, params):
+        # the vector sum rounds cube roots and logs differently from the loop
+        model = RateModel(*params)
+        assert critical_density(model) == pytest.approx(
+            critical_density_loop(model), rel=1e-14)
+
+    def test_term_cap_raises(self):
+        # at q = 1e-6 the terms decay too slowly to settle within 1e6 of them
+        with pytest.raises(RuntimeError, match="did not converge"):
+            critical_density(RateModel(1, 1, 1e-6))

@@ -9,10 +9,11 @@ and one line is printed per config: its name, the exit code, the number of
 files written and the digest, the first 16 hex digits of the sha256 over the
 lines ``<relative path> <file sha256>`` sorted by path, followed by the
 ``summary.json`` scalars the benchmark gates (``L_end``, ``Lambda_end``, the
-duality residuals), printed in full precision.  Run it on two commits and
-compare the lines; equal digests mean byte-identical artifacts, and where
-they differ the scalars show how far the results moved.  The whole set takes
-a few minutes on two cores.
+duality residuals) and the sweep's two classical rates
+(``classical_rate_semi_analytic``, ``classical_rate_fd``), printed in full
+precision.  Run it on two commits and compare the lines; equal digests mean
+byte-identical artifacts, and where they differ the scalars show how far the
+results moved.  The whole set takes a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ def gated_scalars(out: str) -> str:
             details = json.load(fh).get("details", {})
     except OSError:
         return ""
-    pairs = [(key, details[key]) for key in ("L_end", "Lambda_end") if key in details]
+    pairs = [(key, details[key]) for key in ("L_end", "Lambda_end",
+                                             "classical_rate_semi_analytic",
+                                             "classical_rate_fd") if key in details]
     for group in ("residuals", "refined_residuals"):
         pairs += [(f"{group}.{name}", vals["residual"])
                   for name, vals in sorted(details.get(group, {}).items())]

@@ -11,8 +11,8 @@ Modules:
 * :mod:`coarsenlab.lsw_diffusive` — the finite-volume advection-diffusion
   solver and its adjoint.
 * :mod:`coarsenlab.sde` — Monte Carlo paths of the single-cluster process.
-* :mod:`coarsenlab.banded` — the tridiagonal layout and the root bracket
-  shared by every implicit step.
+* :mod:`coarsenlab.banded` — the tridiagonal layout, its solve and the root
+  bracket shared by every implicit step.
 * :mod:`coarsenlab.diagnostics` — coarsening functionals, inequality checks and
   the ``L(t)`` history the solvers share.
 * :mod:`coarsenlab.harness` — experiment orchestration and the CLI backend.

@@ -1,11 +1,13 @@
-"""Tridiagonal operators in LAPACK's banded layout, and a root bracket.
+"""Tridiagonal operators in LAPACK's banded layout, their solve, and a root bracket.
 
 Every implicit step in the package solves a tridiagonal system and fixes a
 scalar by a root-find.  The operators live in the ``(3, n)`` array that
 ``scipy.linalg.solve_banded((1, 1), ab, b)`` takes: ``ab[0, 1:]`` is the
 superdiagonal, ``ab[1]`` the diagonal and ``ab[2, :-1]`` the subdiagonal, so
-``ab[0, 0]`` and ``ab[2, -1]`` are unused and kept at 0.  The callers solve
-and root-find through their own module's ``solve_banded`` and ``brentq``.
+``ab[0, 0]`` and ``ab[2, -1]`` are unused and kept at 0.  This module owns the
+one solve, ``solve_banded``, which calls LAPACK's ``dgtsv`` directly.  The
+callers import it and ``brentq`` into their own module, and solve and
+root-find through those names.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
-__all__ = ["shifted", "matvec", "weighted_transpose", "bracket"]
+__all__ = ["shifted", "matvec", "weighted_transpose", "solve_banded", "bracket"]
 
 _MAX_GROW = 60
 
@@ -47,6 +51,27 @@ def weighted_transpose(ab: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
+def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b, for A in the ``(3, n)`` layout and ``b`` of shape (n,)
+    or (n, k); ``ab`` and ``b`` are left as they are.
+
+    This is LAPACK's ``dgtsv``, the routine ``scipy.linalg.solve_banded((1, 1),
+    ab, b)`` calls, so the results are identical; only scipy's generic input
+    handling is skipped.  Its checks stay: ValueError when ``ab`` or ``b``
+    holds a non-finite value, LinAlgError when A is singular.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if ab.shape[1] == 1:  # the wrapper of dgtsv takes no empty off-diagonals
+        if ab[1, 0] == 0.0:
+            raise LinAlgError("singular matrix")
+        return b / ab[1, 0]
+    _, _, _, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
+
+
 def bracket(
     f: Callable[[float], float],
     lo: float,
@@ -62,7 +87,7 @@ def bracket(
     """
     flo, fhi = f(lo), f(hi)
     grow = 0
-    while flo * fhi > 0 and grow < _MAX_GROW:
+    while _same_sign(flo, fhi) and grow < _MAX_GROW:
         if (flo > 0) == increasing:  # the root lies below lo
             lo = origin + 0.5 * (lo - origin)
             flo = f(lo)
@@ -70,6 +95,13 @@ def bracket(
             hi = origin + 2.0 * (hi - origin)
             fhi = f(hi)
         grow += 1
-    if flo * fhi > 0:
+    if _same_sign(flo, fhi):
         raise RuntimeError(f"could not bracket a root in [{lo!r}, {hi!r}]")
     return lo, hi
+
+
+def _same_sign(a: float, b: float) -> bool:
+    """Both positive or both negative; compared one by one, because the
+    product of two tiny values of the same sign can underflow to 0.  False
+    for a zero or a NaN, which end the search."""
+    return (a > 0 and b > 0) or (a < 0 and b < 0)

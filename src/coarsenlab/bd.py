@@ -10,12 +10,14 @@ Two closures for the monomer density are supported:
 
 The default integrator is a semi-implicit trapezoidal scheme: for a frozen
 monomer density the truncated system is affine tridiagonal in the cluster
-densities, dc/dt = A(c1) c + r(c1), so each stage is one banded solve with
-A(c1) in the layout of :mod:`coarsenlab.banded`, and the monomer density is
-fixed per step by a scalar root-find (bracketed by ``banded.bracket``) that
-makes the closure hold at the committed state (this is what keeps
-conservation structural rather than approximate).  An adaptive explicit
-integrator is available as a cross-check.
+densities, dc/dt = A(c1) c + r(c1), so each stage is one banded solve
+(``banded.solve_banded``) with A(c1) in the layout of :mod:`coarsenlab.banded`,
+and the monomer density is fixed per step by a scalar root-find (bracketed by
+``banded.bracket``) that makes the closure hold at the committed state (this
+is what keeps conservation structural rather than approximate).  A step
+solves each trial monomer density once, however often the root-find asks for
+it, and commits the solve at the root.  An adaptive explicit integrator is
+available as a cross-check.
 
 The model functions work on plain arrays.  ``bd_rhs`` takes the densities
 c_ell for ell = 1..ell_max, whose first entry is the monomer slot; the monomer
@@ -29,10 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .banded import bracket, matvec, shifted
+from .banded import bracket, matvec, shifted, solve_banded
 from .diagnostics import TrajectorySeries, moments, output_times
 from .rates import RateModel
 
@@ -194,7 +195,7 @@ class _Tridiag:
         h = 0.5 * dt
         op = self.operator(c1)
         rhs = matvec(shifted(-h, op), c) + dt * self.affine(c1)
-        return solve_banded((1, 1), shifted(h, op), rhs)
+        return solve_banded(shifted(h, op), rhs)
 
 
 def _step_semi_implicit(
@@ -205,13 +206,24 @@ def _step_semi_implicit(
     tri: _Tridiag,
     ells: np.ndarray,
 ) -> tuple[np.ndarray, float]:
-    """One trapezoidal step; the monomer density is fixed by a root-find."""
+    """One trapezoidal step; the monomer density is fixed by a root-find.
+
+    Each trial ``c1`` is solved once: brentq evaluates the bracket's ends
+    again, and the committed state is the solve at the root it returns.
+    """
+    solved: dict[float, np.ndarray] = {}
+
+    def trapezoid(c1: float) -> np.ndarray:
+        c_new = solved.get(c1)
+        if c_new is None:
+            c_new = solved[c1] = tri.trapezoid(c, dt, c1)
+        return c_new
+
     if isinstance(closure, FullClosure):
         rho = closure.rho
 
         def defect(c1: float) -> float:
-            c_new = tri.trapezoid(c, dt, c1)
-            mid = 0.5 * (c + c_new)
+            mid = 0.5 * (c + trapezoid(c1))
             return c1 - max(rho - float(ells @ mid), 0.0)
 
         c1 = brentq(defect, 0.0, rho, xtol=1e-15, rtol=8.9e-16)
@@ -220,13 +232,17 @@ def _step_semi_implicit(
         mass0 = float(ells @ c)
 
         def defect(c1: float) -> float:
-            return float(ells @ tri.trapezoid(c, dt, c1)) - mass0
+            return float(ells @ trapezoid(c1)) - mass0
 
         lo, hi = bracket(defect, model.z_s + 0.25 * (guess - model.z_s),
                          model.z_s + 4.0 * (guess - model.z_s),
                          origin=model.z_s, increasing=True)
         c1 = brentq(defect, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    return tri.trapezoid(c, dt, c1), c1
+    c_new = trapezoid(c1)
+    # brentq's nan guard keeps ``defect`` in a reference cycle, so the states
+    # it reaches would outlive the step until the cycle collector runs
+    solved.clear()
+    return c_new, c1
 
 
 _NEG_CLIP = 1e-12

@@ -14,7 +14,7 @@ itself under the dilation (eps, x) -> (eps/lam, x/lam), which the covariance
 tests rely on.
 
 Advection is explicit upwind with an optional minmod limiter; diffusion is
-implicit, one banded solve per step (layout of :mod:`coarsenlab.banded`).
+implicit, one banded solve per step (``banded.solve_banded``).
 The diffusion matrix does not depend on L, so a step costs one transposed
 solve, after which the step's mass change is an O(n) function of L for the
 root-find, plus the forward solve.  The adjoint solver uses the
@@ -29,10 +29,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .banded import bracket, shifted, weighted_transpose
+from .banded import bracket, shifted, solve_banded, weighted_transpose
 from .diagnostics import LHistory, TrajectorySeries, moments, output_times
 from .initial_data import InitialTail, cell_averages
 
@@ -171,7 +170,7 @@ class _Operators:
 
     def diffusion_solve(self, rhs: np.ndarray, dt: float) -> np.ndarray:
         """Solve (I - dt * Diff) c = rhs."""
-        return solve_banded((1, 1), shifted(dt, self.diff), rhs)
+        return solve_banded(shifted(dt, self.diff), rhs)
 
     def adjoint_solve_step(self, w: np.ndarray, dt: float, L: float) -> np.ndarray:
         """Implicit-Euler backward step of the weighted-transpose operator.
@@ -182,7 +181,7 @@ class _Operators:
         one per column.
         """
         adjoint = weighted_transpose(self.diff + self.advective_bands(L), self.grid.widths)
-        return solve_banded((1, 1), shifted(dt, adjoint), w)
+        return solve_banded(shifted(dt, adjoint), w)
 
 
 def _moment_l(cbar: np.ndarray, grid: Grid) -> float:
@@ -225,7 +224,7 @@ def determine_L(
     x = grid.centers
     from_left, from_right = states
     # y / w, solved for directly: (W^{-1} S^T W)(y / w) = x
-    z = solve_banded((1, 1), shifted(dt, ops.diff_adjoint), x)
+    z = solve_banded(shifted(dt, ops.diff_adjoint), x)
     base = float((z - x) @ (c * grid.widths))
     a = np.diff(z)
     args = (base, dt, grid.edges[1:-1], a * from_left, a * from_right)

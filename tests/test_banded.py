@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import LinAlgError
 
-from coarsenlab.banded import bracket, matvec, shifted, weighted_transpose
+from coarsenlab.banded import bracket, matvec, shifted, solve_banded, weighted_transpose
 
 _ENTRIES = st.floats(-10.0, 10.0)
 
@@ -54,6 +56,54 @@ class TestLayout:
         assert abs(lhs - rhs) <= 1e-12 * max(scale, 1.0)
 
 
+@st.composite
+def _system(draw):
+    """A tridiagonal system of size 1 to 64 whose diagonal keeps |a_ii| >= 0.1,
+    and a right-hand side of shape (n,) or (n, k)."""
+    n = draw(st.integers(1, 64))
+    ab = draw(arrays(float, (3, n), elements=_ENTRIES))
+    ab[1] = draw(arrays(float, n, elements=st.floats(0.1, 10.0)))
+    ab[1] *= draw(arrays(float, n, elements=st.sampled_from([-1.0, 1.0])))
+    ab[0, 0] = ab[2, -1] = 0.0
+    shape = draw(st.sampled_from([(n,), (n, draw(st.integers(1, 4)))]))
+    return ab, draw(arrays(float, shape, elements=_ENTRIES))
+
+
+class TestSolve:
+    @given(_system())
+    def test_matches_scipy_bit_for_bit(self, case):
+        ab, b = case
+        ab0, b0 = ab.copy(), b.copy()
+        try:
+            expected = scipy.linalg.solve_banded((1, 1), ab, b)
+        except LinAlgError:  # an off-diagonal pattern can still make A singular
+            with pytest.raises(LinAlgError):
+                solve_banded(ab, b)
+            return
+        x = solve_banded(ab, b)
+        assert x.shape == b.shape
+        assert np.array_equal(x, expected)
+        assert np.array_equal(ab, ab0) and np.array_equal(b, b0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["ab", "b"])
+    def test_rejects_non_finite_input(self, value, where):
+        ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
+        b = np.ones(3)
+        (ab[1] if where == "ab" else b)[1] = value
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_banded(ab, b)
+
+    @pytest.mark.parametrize("ab", [
+        [[0.0, 0.0, 1.0], [0.0, 2.0, 3.0], [0.0, 1.0, 0.0]],  # a zero first column
+        [[0.0, 2.0], [1.0, 2.0], [1.0, 0.0]],  # two equal rows
+    ])
+    def test_rejects_singular_matrix(self, ab):
+        ab = np.array(ab)
+        with pytest.raises(LinAlgError, match="singular"):
+            solve_banded(ab, np.ones(ab.shape[1]))
+
+
 class TestBracket:
     @given(st.floats(0.01, 1e4))
     def test_increasing_root_above(self, root):
@@ -100,3 +150,11 @@ class TestBracket:
         with pytest.raises(RuntimeError, match="could not bracket"):
             bracket(f, 1.0, 2.0, origin=0.0, increasing=True)
         assert len(calls) == 2 + 60
+
+    def test_tiny_values_of_one_sign_are_no_sign_change(self):
+        # f(1) * f(2) underflows to 0, yet both values are negative
+        def f(s):
+            return 1e-200 * (s - 3.0)
+
+        lo, hi = bracket(f, 1.0, 2.0, origin=0.0, increasing=True)
+        assert f(lo) < 0.0 < f(hi)

@@ -143,6 +143,37 @@ class TestRhs:
             assert abs(float(ells @ dc)) < 1e-14
 
 
+class TestSemiImplicitStep:
+    @pytest.mark.parametrize("closure", [bd.FullClosure(rho=1.5), bd.DirichletClosure()])
+    def test_solves_each_trial_c1_once(self, closure, monkeypatch):
+        c = coarsening_data(ell_max=100)[1:]
+        ells = np.arange(2, 101, dtype=float)
+        tri = bd._Tridiag(MODEL, 100, full=isinstance(closure, bd.FullClosure))
+        trials, solves = [], []
+
+        def recording(search):  # bracket(f, ...) and brentq(f, ...)
+            def wrapped(f, *args, **kwargs):
+                def f_recorded(c1):
+                    trials.append(c1)
+                    return f(c1)
+
+                return search(f_recorded, *args, **kwargs)
+
+            return wrapped
+
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
+
+        solve = bd.solve_banded
+        monkeypatch.setattr(bd, "bracket", recording(bd.bracket))
+        monkeypatch.setattr(bd, "brentq", recording(bd.brentq))
+        monkeypatch.setattr(bd, "solve_banded", counted)
+        c_new, c1 = bd._step_semi_implicit(c, 0.05, MODEL, closure, tri, ells)
+        assert len(solves) == len(set(trials))
+        assert np.array_equal(c_new, tri.trapezoid(c, 0.05, c1))
+
+
 class TestRun:
     def test_equilibrium_trajectory_is_stationary(self):
         tab = equilibrium_table(MODEL, 100)

@@ -220,6 +220,14 @@ class TestSolverFailure:
         summary = json.load(open(tmp_path / "summary.json"))
         assert "error" in summary
 
+    def test_unbracketed_conservative_L(self, tmp_path):
+        # the mass defect is about -7e-284 at both ends of the first bracket;
+        # their product underflows to 0, which must not pass for a sign change
+        cfg = {"kind": "diffusive", "eps": 1e-300, "n_cells": 16, "t_end": 0.1}
+        assert run_experiment(cfg, str(tmp_path)) == 3
+        summary = json.load(open(tmp_path / "summary.json"))
+        assert summary["error"]["message"].startswith("could not bracket a root in")
+
 
 class TestBdExperiment:
     def test_artifacts_and_checks(self, tmp_path):

@@ -16,8 +16,11 @@ and the monomer density is fixed per step by a scalar root-find (bracketed by
 ``banded.bracket``) that makes the closure hold at the committed state (this
 is what keeps conservation structural rather than approximate).  A step
 solves each trial monomer density once, however often the root-find asks for
-it, and commits the solve at the root.  An adaptive explicit integrator is
-available as a cross-check.
+it, and commits the solve at the root.  The step size is controlled by
+Milne's device: a quadratic predictor through the previous accepted state,
+the current one and the slope there gives the trapezoid's local error from
+the one step each attempt takes, so an attempt costs one root-find.  An
+adaptive explicit integrator is available as a cross-check.
 
 The model functions work on plain arrays.  ``bd_rhs`` takes the densities
 c_ell for ell = 1..ell_max, whose first entry is the monomer slot; the monomer
@@ -50,7 +53,7 @@ __all__ = [
 ]
 
 
-_RTOL = 1e-9  # step-doubling error tolerance of the semi-implicit stepper
+_RTOL = 1e-9  # local error tolerance of the semi-implicit stepper
 _ATOL = 1e-12
 _MASS_TOL = 1e-8  # relative mass drift that aborts a run
 
@@ -197,6 +200,10 @@ class _Tridiag:
         rhs = matvec(shifted(-h, op), c) + dt * self.affine(c1)
         return solve_banded(shifted(h, op), rhs)
 
+    def rate(self, c: np.ndarray, c1: float) -> np.ndarray:
+        """dc/dt = A(c1) c + r(c1)."""
+        return matvec(self.operator(c1), c) + self.affine(c1)
+
 
 def _step_semi_implicit(
     c: np.ndarray,
@@ -245,6 +252,25 @@ def _step_semi_implicit(
     return c_new, c1
 
 
+def _local_error(c: np.ndarray, c_new: np.ndarray, slope: np.ndarray, h: float,
+                 previous: tuple[np.ndarray, float] | None) -> np.ndarray:
+    """Milne's estimate of the local error of the trapezoid step c -> c_new of size h.
+
+    ``slope`` is dc/dt at c; ``previous`` is (c_prev, tau), the state before
+    the last accepted step and that step's size.  The quadratic predictor
+    through them misses the solution by h^2 (h + tau) y3 / 6 and the
+    trapezoid step by -h^3 y3 / 12, with y3 the third derivative, so
+    (c_new - pred) h / (3h + 2 tau) is the trapezoid's error to leading
+    order.  Without history, the difference to Euler overestimates it.
+    """
+    euler = c + h * slope
+    if previous is None:
+        return c_new - euler
+    c_prev, tau = previous
+    pred = euler + h * h * (c_prev - c + tau * slope) / (tau * tau)
+    return (c_new - pred) * (h / (3.0 * h + 2.0 * tau))
+
+
 _NEG_CLIP = 1e-12
 
 
@@ -290,6 +316,7 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
     t = 0.0
     dt = config.dt_init
     neg_log: list[float] = []
+    previous = None  # (state, step) of the last accepted step
 
     rows = [_row(t, c, config, ells)]
     snapshots = [(0.0, _assemble(c, config))]
@@ -300,17 +327,18 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
         t_target = out_times[next_out] if next_out < len(out_times) else config.t_end
         dt_try = min(dt, t_target - t)
         clipped = dt_try < dt
+        slope = tri.rate(c, _monomer_density(c, config))
         accepted = False
         while not accepted:
             if dt_try < 1e-14:
                 raise BdRunError(f"step size underflow at t = {t}")
-            c_one, _ = _step_semi_implicit(c, dt_try, model, config.closure, tri, ells)
-            c_half, _ = _step_semi_implicit(c, 0.5 * dt_try, model, config.closure, tri, ells)
-            c_two, _ = _step_semi_implicit(c_half, 0.5 * dt_try, model, config.closure, tri, ells)
-            scale = _ATOL + _RTOL * np.maximum(np.abs(c), np.abs(c_two))
-            err = float(np.max(np.abs(c_one - c_two) / scale)) / 3.0
-            committed = _commit(c_two, neg_log) if err <= 1.0 else None
+            c_new, _ = _step_semi_implicit(c, dt_try, model, config.closure, tri, ells)
+            est = _local_error(c, c_new, slope, dt_try, previous)
+            scale = _ATOL + _RTOL * np.maximum(np.abs(c), np.abs(c_new))
+            err = float(np.max(np.abs(est) / scale))
+            committed = _commit(c_new, neg_log) if err <= 1.0 else None
             if committed is not None:
+                previous = (c, dt_try)
                 c = committed
                 t += dt_try
                 accepted = True
@@ -336,6 +364,13 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
     return _series(rows, config), snapshots
 
 
+def _monomer_density(c: np.ndarray, config: BdRunConfig) -> float:
+    """The closure's monomer density at the cluster densities ``c``."""
+    if isinstance(config.closure, FullClosure):
+        return monomer_closure_full(c, config.closure.rho)
+    return monomer_closure_dirichlet(c, config.model)
+
+
 def _assemble(c: np.ndarray, config: BdRunConfig) -> np.ndarray:
     """Full ell = 1..ell_max density vector including the monomer slot."""
     full = isinstance(config.closure, FullClosure)
@@ -345,12 +380,9 @@ def _assemble(c: np.ndarray, config: BdRunConfig) -> np.ndarray:
 
 def _row(t: float, c: np.ndarray, config: BdRunConfig, ells: np.ndarray) -> dict:
     """The series row of the cluster densities ``c`` (ell = 2..ell_max) at t."""
-    if isinstance(config.closure, FullClosure):
-        c1 = monomer_closure_full(c, config.closure.rho)
-        monomers = c1  # size-1 clusters add c1 to every moment
-    else:
-        c1 = monomer_closure_dirichlet(c, config.model)
-        monomers = 0.0  # the Dirichlet state holds no monomers
+    c1 = _monomer_density(c, config)
+    # size-1 clusters add c1 to every moment; the Dirichlet state holds none
+    monomers = c1 if isinstance(config.closure, FullClosure) else 0.0
     number, mass, energy, scale = (monomers + m for m in moments(ells, c))
     lam = mass / number if number > 0 else np.nan
     if c1 > config.model.z_s:

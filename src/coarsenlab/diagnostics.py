@@ -117,12 +117,12 @@ class LHistory:
         )
 
 
-def write_csv(path, header: str, rows) -> None:
-    """Write rows of numbers as ``repr(float(v))``, ',' delimited, LF endings."""
+def write_csv(path, header: str, rows: np.ndarray) -> None:
+    """Write the rows of a 2-D array as ``repr(float(v))``, ',' delimited, LF endings."""
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in rows.tolist():  # Python floats, converted in one pass
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def output_times(t_end: float, stride: float) -> np.ndarray:

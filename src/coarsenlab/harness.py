@@ -146,10 +146,13 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_snapshot(out_dir: str, name: str, header: str, rows) -> None:
+def _write_snapshot(out_dir: str, name: str, header: str, t: float,
+                    x: np.ndarray, values: np.ndarray) -> None:
+    """``snapshots/<name>`` with the rows (t, x_i, values_i)."""
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
-    write_csv(os.path.join(snap_dir, name), header, rows)
+    write_csv(os.path.join(snap_dir, name), header,
+              np.column_stack((np.full(len(x), t), x, values)))
 
 
 def _check(name: str, passed: bool, **extra) -> dict:
@@ -260,8 +263,8 @@ def _run_bd(run_cfg: bd_mod.BdRunConfig, out_dir: str) -> Outcome:
     series.write_csv(os.path.join(out_dir, "series.csv"),
                      ["mass", "c1", "g", "Lambda"])
     for idx, (t, c) in enumerate(snapshots):
-        _write_snapshot(out_dir, f"bd_{idx:04d}.csv", "t,ell,c",
-                        [(t, ell, val) for ell, val in enumerate(c, start=1)])
+        _write_snapshot(out_dir, f"bd_{idx:04d}.csv", "t,ell,c", t,
+                        np.arange(1, len(c) + 1), c)
 
     full = isinstance(run_cfg.closure, bd_mod.FullClosure)
     mass = series.column("mass")
@@ -309,8 +312,7 @@ def _run_classical(run_cfg: lsw_classical.ClassicalRunConfig, out_dir: str) -> O
     probes = tail_quantile_probes(run_cfg.tail)
     for idx, t in enumerate((0.0, run_cfg.t_end)):
         w = np.atleast_1d(solver.tail_value(probes, t))
-        _write_snapshot(out_dir, f"tail_{idx:04d}.csv", "t,x,w",
-                        [(t, x, val) for x, val in zip(probes, w)])
+        _write_snapshot(out_dir, f"tail_{idx:04d}.csv", "t,x,w", t, probes, w)
     lam = series.column("Lambda")
     big_l = series.column("L")
     resid = float(np.max(np.abs(series.column("mass_residual"))))
@@ -327,10 +329,13 @@ def _run_classical(run_cfg: lsw_classical.ClassicalRunConfig, out_dir: str) -> O
 # diffusive experiment
 
 
+_STEP_BUDGET = 1e7  # diffusive steps a run may take at its initial CFL step
+
+
 def _diffusive_config(cfg: dict) -> lsw_diffusive.DiffusiveRunConfig:
     # L always conserves mass; a config may still name that scheme
     _get(cfg, "l_mode", str, "conserve", check=_one_of("conserve"))
-    return _validated(lsw_diffusive.DiffusiveRunConfig(
+    run_cfg = _validated(lsw_diffusive.DiffusiveRunConfig(
         tail=_get(cfg, "initial", dict, _EXPONENTIAL, check=_initial_tail),
         eps=_get(cfg, "eps", float),
         t_end=_get(cfg, "t_end", float, 1.0),
@@ -341,6 +346,12 @@ def _diffusive_config(cfg: dict) -> lsw_diffusive.DiffusiveRunConfig:
         output_stride=_get(cfg, "output_stride", float, 0.1),
         snapshot_times=tuple(_get(cfg, "snapshot_times", list, [], check=_items(float))),
     ))
+    # the CFL step binds in the first cell, whose width scales with eps
+    steps = run_cfg.t_end / lsw_diffusive.DiffusiveSolver(run_cfg)._dt()
+    _require(steps <= _STEP_BUDGET,
+             f"eps: {run_cfg.eps!r} needs about {steps:.2g} steps to reach t_end "
+             f"{run_cfg.t_end!r}, over the budget of {_STEP_BUDGET:.0e}")
+    return run_cfg
 
 
 def _diffusive_checks(series: diagnostics.TrajectorySeries) -> list[dict]:
@@ -376,8 +387,8 @@ def _run_diffusive(run_cfg: lsw_diffusive.DiffusiveRunConfig, out_dir: str) -> O
     series.write_csv(os.path.join(out_dir, "series.csv"),
                      ["L", "Lambda", "E", "M", "N", "mass_residual"])
     for idx, (t, cbar) in enumerate(snapshots):
-        _write_snapshot(out_dir, f"density_{idx:04d}.csv", "t,x_center,c",
-                        [(t, x, val) for x, val in zip(solver.grid.centers, cbar)])
+        _write_snapshot(out_dir, f"density_{idx:04d}.csv", "t,x_center,c", t,
+                        solver.grid.centers, cbar)
     checks = _diffusive_checks(series)
     return checks, {"eps": run_cfg.eps, "L_end": float(series.column("L")[-1]),
                     "Lambda_end": float(series.column("Lambda")[-1])}
@@ -453,8 +464,8 @@ def _run_sweep(cls_cfg: lsw_classical.ClassicalRunConfig,
             "rate_gap": abs(rate_eps - rate_cls_sa),
             "probe_table": table,
         })
-        _write_snapshot(out_dir, f"density_eps{run_cfg.eps}.csv", "t,x_center,c",
-                        [(t_snap, x, v) for x, v in zip(solver.grid.centers, cbar)])
+        _write_snapshot(out_dir, f"density_eps{run_cfg.eps}.csv", "t,x_center,c", t_snap,
+                        solver.grid.centers, cbar)
 
     dists = [row["tail_distance"] for row in per_eps]
     gaps = [row["L_gap_max"] for row in per_eps]

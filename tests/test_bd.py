@@ -174,6 +174,81 @@ class TestSemiImplicitStep:
         assert np.array_equal(c_new, tri.trapezoid(c, 0.05, c1))
 
 
+class TestErrorControl:
+    @pytest.fixture(scope="class")
+    def history(self):
+        """Two Dirichlet states of a band-200 run, at t = 0.98 and t = 1."""
+        _, snaps = bd.run_bd(bd.BdRunConfig(
+            model=MODEL, closure=bd.DirichletClosure(),
+            initial=coarsening_data(ell_max=200), t_end=1.0, output_stride=0.02,
+        ))
+        (t_prev, c_prev), (t, c) = snaps[-2:]
+        return c_prev[1:], t - t_prev, c[1:]
+
+    def test_estimate_matches_true_local_error(self, history):
+        c_prev, tau, c = history
+        closure = bd.DirichletClosure()
+        tri = bd._Tridiag(MODEL, 200, full=False)
+        ells = np.arange(2, 201, dtype=float)
+        slope = tri.rate(c, bd.monomer_closure_dirichlet(c, MODEL))
+        estimates = []
+        for h in (0.02, 0.01, 0.005):
+            c_new, _ = bd._step_semi_implicit(c, h, MODEL, closure, tri, ells)
+            fine = c
+            for _ in range(256):
+                fine, _ = bd._step_semi_implicit(fine, h / 256, MODEL, closure, tri, ells)
+            est = np.max(np.abs(bd._local_error(c, c_new, slope, h, (c_prev, tau))))
+            assert 0.8 <= est / np.max(np.abs(c_new - fine)) <= 1.25
+            estimates.append(est)
+        # third order: each halving of h cuts the estimate by about 8
+        ratios = np.array(estimates[:-1]) / np.array(estimates[1:])
+        assert np.all((6.5 <= ratios) & (ratios <= 9.5))
+
+    @pytest.mark.parametrize("closure", [bd.FullClosure(rho=1.5), bd.DirichletClosure()])
+    def test_one_root_find_per_attempt(self, closure, monkeypatch):
+        gamma = coarsening_data(ell_max=100)
+        if isinstance(closure, bd.FullClosure):
+            gamma[0] = 0.5  # free monomers on top of the unit cluster mass
+        trials: set[float] = set()
+        rootfinds, solves, histories, trials_per_attempt = [], [], [], []
+
+        def recording(search):  # bracket(f, ...) and brentq(f, ...)
+            def wrapped(f, *args, **kwargs):
+                if search is brentq:
+                    rootfinds.append(f)
+
+                def f_recorded(c1):
+                    trials.add(c1)
+                    return f(c1)
+
+                return search(f_recorded, *args, **kwargs)
+
+            return wrapped
+
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
+
+        def estimate(c, c_new, slope, h, previous):  # once per attempt
+            histories.append(previous is not None)
+            trials_per_attempt.append(len(trials))
+            trials.clear()
+            return local_error(c, c_new, slope, h, previous)
+
+        solve, brentq, local_error = bd.solve_banded, bd.brentq, bd._local_error
+        monkeypatch.setattr(bd, "bracket", recording(bd.bracket))
+        monkeypatch.setattr(bd, "brentq", recording(brentq))
+        monkeypatch.setattr(bd, "solve_banded", counted)
+        monkeypatch.setattr(bd, "_local_error", estimate)
+        bd.run_bd(bd.BdRunConfig(model=MODEL, closure=closure, initial=gamma,
+                                 t_end=0.5, output_stride=0.25))
+        assert len(rootfinds) == len(histories)
+        # the first attempts take the Euler estimate, every later one the history
+        assert not histories[0] and histories == sorted(histories)
+        assert histories[-1]
+        assert len(solves) == sum(trials_per_attempt)
+
+
 class TestRun:
     def test_equilibrium_trajectory_is_stationary(self):
         tab = equilibrium_table(MODEL, 100)

@@ -1,8 +1,9 @@
 """Digests of the artifacts of reference configs, to show a change keeps them.
 
-    python3 tools/artifact_digests.py
+    python3 tools/artifact_digests.py [NAME ...]
 
-Run from any directory; it imports ``coarsenlab`` from this checkout's
+With names, only those configs run (say ``"bd full"``).  Run from any
+directory; it imports ``coarsenlab`` from this checkout's
 ``src/`` and the benchmark workloads from ``bench/workloads.py``.  Each
 config runs through ``harness.run_experiment`` into a temporary directory,
 and one line is printed per config: its name, the exit code, the number of
@@ -42,6 +43,10 @@ CONFIGS = [
     # most paths are absorbed mid-run, so the Monte Carlo drops paths as it goes
     ("mc-check absorbing", {"kind": "mc-check", "T": 1.0, "probes": [0.1, 0.25],
                             "payoff": "cuberoot"}, None, False),
+    # the mass-conserving closure, which no benchmark workload runs
+    ("bd full", {"kind": "bd", "closure": {"type": "full"}, "ell_max": 200,
+                 "initial": {"kind": "bins", "entries": [[ell, 1.0] for ell in range(2, 21)]},
+                 "t_end": 5.0, "output_stride": 0.25}, None, False),
 ]
 
 
@@ -74,8 +79,14 @@ def gated_scalars(out: str) -> str:
     return "".join(f"  {key} {value!r}" for key, value in pairs)
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = set(names) - {name for name, *_ in CONFIGS}
+    if unknown:
+        print(f"unknown config names: {sorted(unknown)}", file=sys.stderr)
+        return 2
     for name, config, seed, refine in CONFIGS:
+        if names and name not in names:
+            continue
         with tempfile.TemporaryDirectory() as out:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = run_experiment(dict(config), out, seed=seed, refine=refine)
@@ -86,4 +97,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -55,6 +55,7 @@ __all__ = [
 
 _RTOL = 1e-9  # local error tolerance of the semi-implicit stepper
 _ATOL = 1e-12
+_T_SLACK = 1e-14  # the run stops once t is this close to t_end
 _MASS_TOL = 1e-8  # relative mass drift that aborts a run
 
 
@@ -105,8 +106,10 @@ class BdRunConfig:
                 )
         if self.scheme not in ("semi-implicit", "explicit-adaptive"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.t_end <= 0 or self.dt_init <= 0 or self.output_stride <= 0:
-            raise ValueError("t_end, dt_init and output_stride must be positive")
+        if self.t_end <= _T_SLACK:
+            raise ValueError(f"t_end must exceed {_T_SLACK:g}, or the run takes no step")
+        if self.dt_init <= 0 or self.output_stride <= 0:
+            raise ValueError("dt_init and output_stride must be positive")
 
 
 def monomer_closure_full(c: np.ndarray, rho: float) -> float:
@@ -323,7 +326,7 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
     next_out = 1
 
     mass0 = config.closure.rho if full else 1.0
-    while t < config.t_end - 1e-14:
+    while t < config.t_end - _T_SLACK:
         t_target = out_times[next_out] if next_out < len(out_times) else config.t_end
         dt_try = min(dt, t_target - t)
         clipped = dt_try < dt

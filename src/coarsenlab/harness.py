@@ -570,7 +570,10 @@ def _run_mc(mc_cfg: sde.McConfig, payoff, probes: list[float],
 
 def _parse_duality(cfg: dict, seed: int, refine: bool):
     n_cells = _get(cfg, "n_cells", int, 2048)
-    big_t = _get(cfg, "T", float, 0.5, check=_positive)
+    # T is the forward run's t_end; name T if it is too short for a step
+    big_t = _get(cfg, "T", float, 0.5, check=lambda v: _require(
+        v > lsw_diffusive._T_SLACK,
+        f"must exceed {lsw_diffusive._T_SLACK:g}, or the run takes no step, got {v!r}"))
     base = {"eps": 0.25, "limiter": False, **cfg, "t_end": big_t,
             "output_stride": big_t, "snapshot_times": []}
     runs = [_diffusive_config({**base, "n_cells": n})

@@ -15,16 +15,20 @@ tests rely on.
 
 Advection is explicit upwind with an optional minmod limiter; diffusion is
 implicit, one banded solve per step (``banded.solve_banded``).
-The diffusion matrix does not depend on L, so a step costs one transposed
-solve, after which the step's mass change is an O(n) function of L for the
-root-find, plus the forward solve.  The adjoint solver uses the
-measure-weighted transpose of the linearized forward operator, stepped by
-implicit Euler, so the duality pairing is broken only by the time
-discretization; it marches several payoffs through one solve per step.
+The diffusion matrix does not depend on L, and the step's mass change is
+linear in L^{-1/3} between grid edges.  So a step costs one O(n) pass that
+builds prefix sums, an O(log n) evaluation of the mass change per root-find
+iteration, and the forward solve; the transposed solve that weights the mass
+change depends only on dt and is redone only when dt changes, which the CFL
+step rarely does.  The adjoint solver uses the measure-weighted transpose of
+the linearized forward operator, stepped by implicit Euler, so the duality
+pairing is broken only by the time discretization; it marches several
+payoffs through one solve per step.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -47,6 +51,7 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-8  # mass drift that aborts a run
+_T_SLACK = 1e-12  # the run stops once t is this close to t_end
 
 
 def diffusion_coefficient(eps: float, x):
@@ -94,21 +99,39 @@ class _Operators:
         self.eps = eps
         n = grid.n_cells
         x = grid.centers
+        e_in = grid.edges[1:-1]  # the interior edges
+        self.gaps = np.diff(x)
+        self.to_edge_left = e_in - x[:-1]  # from the center left of each edge
+        self.to_edge_right = e_in - x[1:]
+        self.cbrt_centers = np.cbrt(x)
+        self.inner_edges = e_in.tolist()  # for bisect
+        self.defect_rows = np.vstack((np.cbrt(e_in), np.ones_like(e_in)))
+        self.inv_w = 1.0 / grid.widths
         self.d_centers = np.asarray(diffusion_coefficient(eps, x))
         # inverse distances between the points where D*c is sampled; the
         # left boundary uses the Dirichlet value (D c)(0) = 0 at x = 0
         beta = np.zeros(n + 1)
         beta[0] = 1.0 / x[0]
-        beta[1:n] = 1.0 / np.diff(x)
+        beta[1:n] = 1.0 / self.gaps
         beta[n] = 0.0  # no diffusive flux through the outer edge
         self.beta = beta
-        inv_w = 1.0 / grid.widths
+        inv_w = self.inv_w
         d = self.d_centers
         self.diff = np.zeros((3, n))  # the diffusion operator, banded
         self.diff[0, 1:] = beta[1:n] * d[1:] * inv_w[:-1]
         self.diff[1] = -(beta[:n] + beta[1:]) * d * inv_w
         self.diff[2, :-1] = beta[1:n] * d[:-1] * inv_w[1:]
         self.diff_adjoint = weighted_transpose(self.diff, grid.widths)
+        self._weights_dt = None  # the dt of the cached ``mass_weights``
+        self._weights = None
+
+    def moment_l(self, cbar: np.ndarray) -> float:
+        """Cube of the 1/3-moment ratio of the cell averages ``cbar``."""
+        w = cbar * self.grid.widths
+        number = float(w.sum())
+        if number <= 0:
+            raise ValueError("empty distribution")
+        return (float(self.cbrt_centers @ w) / number) ** 3
 
     # -- advection ----------------------------------------------------------
 
@@ -120,23 +143,15 @@ class _Operators:
         """States of ``c`` at the interior edges, reconstructed from the left
         and from the right cell: minmod-limited linear, or constant without
         the limiter.  They do not depend on L."""
-        g = self.grid
-        if limiter:
-            dc = np.diff(c)
-            h = np.diff(g.centers)
-            left_slope = np.concatenate(([0.0], dc / h))
-            right_slope = np.concatenate((dc / h, [0.0]))
-            slope = np.where(
-                left_slope * right_slope > 0,
-                np.sign(left_slope) * np.minimum(np.abs(left_slope), np.abs(right_slope)),
-                0.0,
-            )
-        else:
-            slope = np.zeros_like(c)
-        e_in = g.edges[1:-1]
-        from_left = c[:-1] + slope[:-1] * (e_in - g.centers[:-1])
-        from_right = c[1:] + slope[1:] * (e_in - g.centers[1:])
-        return from_left, from_right
+        if not limiter:
+            return c[:-1], c[1:]
+        s = np.diff(c) / self.gaps
+        lo, hi = s[:-1], s[1:]  # the slopes on each side of a cell
+        slope = np.zeros_like(c)  # the end cells see a zero slope outside
+        slope[1:-1] = np.where(lo * hi > 0, np.sign(lo) * np.minimum(np.abs(lo), np.abs(hi)),
+                               0.0)
+        return (c[:-1] + slope[:-1] * self.to_edge_left,
+                c[1:] + slope[1:] * self.to_edge_right)
 
     def advective_rate(self, states: tuple[np.ndarray, np.ndarray], L: float) -> np.ndarray:
         """-d/dx of the upwind flux u*c from the ``edge_states``; boundary
@@ -147,23 +162,27 @@ class _Operators:
         flux[1:-1] = np.where(u[1:-1] > 0, u[1:-1] * from_left, u[1:-1] * from_right)
         return -np.diff(flux) / self.grid.widths
 
-    def advective_bands(self, L: float) -> np.ndarray:
-        """The first-order (unlimited) upwind operator, banded."""
-        g = self.grid
-        n = g.n_cells
-        u = self.edge_velocity(L)
-        inv_w = 1.0 / g.widths
-        up = u[1:n]  # interior edges
-        take_left = up > 0
-        from_left = np.where(take_left, up, 0.0)
-        from_right = np.where(take_left, 0.0, up)
-        ab = np.zeros((3, n))
-        # outflux through edge i+1 (rows 0..n-2)
-        ab[1, :-1] -= from_left * inv_w[:-1]
-        ab[0, 1:] -= from_right * inv_w[:-1]
-        # influx through edge i (rows 1..n-1)
-        ab[2, :-1] += from_left * inv_w[1:]
-        ab[1, 1:] += from_right * inv_w[1:]
+    def adjoint_bands(self, L: float) -> np.ndarray:
+        """W^{-1} (Diff + Adv(L))^T W, banded, with W = diag(cell widths) and
+        Adv(L) the first-order (unlimited) upwind operator: the generator of
+        the adjoint, so the semi-discrete pairing sum_i w_i c_i dx_i is
+        exactly conserved.
+
+        Through an interior edge with velocity ``u``, Adv moves ``u`` times
+        the upwind cell's average from cell i to cell i+1, per width of the
+        cell it enters or leaves.  Each such entry is written straight into
+        its transposed position, on top of ``diff_adjoint``, where the
+        widths of W cancel against the ``1 / width`` of the entry.
+        """
+        u = self.edge_velocity(L)[1:-1]
+        take_left = u > 0
+        from_left = np.where(take_left, u, 0.0) * self.inv_w[:-1]
+        from_right = np.where(take_left, 0.0, u) * self.inv_w[1:]
+        ab = self.diff_adjoint.copy()
+        ab[0, 1:] += from_left
+        ab[1, :-1] -= from_left
+        ab[1, 1:] += from_right
+        ab[2, :-1] -= from_right
         return ab
 
     # -- implicit solves ----------------------------------------------------
@@ -172,34 +191,43 @@ class _Operators:
         """Solve (I - dt * Diff) c = rhs."""
         return solve_banded(shifted(dt, self.diff), rhs)
 
-    def adjoint_solve_step(self, w: np.ndarray, dt: float, L: float) -> np.ndarray:
-        """Implicit-Euler backward step of the weighted-transpose operator.
+    def mass_weights(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(z - x, diff(z))`` for ``z = W^{-1} S^{-T} W x``, ``S = I - dt * Diff``.
 
-        The adjoint generator is W^{-1} A^T W with W = diag(cell widths) and
-        A the linear forward operator, so the semi-discrete duality pairing
-        sum_i w_i c_i dx_i is exactly conserved.  ``w`` holds one payoff, or
-        one per column.
+        The mass of ``S^{-1} r`` is ``(z * w) . r``.  The pair depends on
+        ``dt`` only and is kept for the last ``dt``: the CFL step repeats, so
+        most steps make no solve here.
         """
-        adjoint = weighted_transpose(self.diff + self.advective_bands(L), self.grid.widths)
-        return solve_banded(shifted(dt, adjoint), w)
+        if dt != self._weights_dt:
+            x = self.grid.centers
+            z = solve_banded(shifted(dt, self.diff_adjoint), x)
+            self._weights = (z - x, np.diff(z))
+            self._weights_dt = dt
+        return self._weights
 
 
-def _moment_l(cbar: np.ndarray, grid: Grid) -> float:
-    """Cube of the 1/3-moment ratio of the cell averages ``cbar``."""
-    w = cbar * grid.widths
-    number = float(w.sum())
-    if number <= 0:
-        raise ValueError("empty distribution")
-    return (float(np.cbrt(grid.centers) @ w) / number) ** 3
+def _split_sums(below: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """``sum(below[..., :k]) + sum(above[..., k:])`` for k = 0..n, along the
+    last axis, of length n."""
+    out = np.zeros(below.shape[:-1] + (below.shape[-1] + 1,))
+    np.cumsum(below, axis=-1, out=out[..., 1:])
+    out[..., :-1] += np.cumsum(above[..., ::-1], axis=-1)[..., ::-1]
+    return out
 
 
-def _mass_defect(L: float, base: float, dt: float, edges: np.ndarray,
-                 a_left: np.ndarray, a_right: np.ndarray) -> float:
-    """``base + dt * sum_j u_j(L) a_j r_j`` over the interior edges, the
-    upwind state ``r_j`` taken from the left where ``u_j > 0``.  Module-level,
-    so its arrays reach ``brentq`` through ``args`` and die with the call."""
-    u = np.cbrt(edges / L) - 1.0
-    return base + dt * float(u @ np.where(u > 0, a_left, a_right))
+def _mass_defect(L: float, base: float, dt: float, edges: list[float],
+                 slope: list[float], offset: list[float]) -> float:
+    """``base + dt * sum_j u_j(L) a_j r_j`` over the interior edges ``e_j``,
+    with ``u_j = e_j^{1/3} L^{-1/3} - 1`` and the upwind state ``r_j`` taken
+    from the left where ``u_j > 0``, that is where ``e_j > L``.
+
+    The sum is linear in ``L^{-1/3}`` between edges.  With k edges at or
+    below L it is ``slope[k] L^{-1/3} - offset[k]``, so one evaluation is a
+    bisection and two lookups (see ``determine_L``).  Module-level, so its
+    arrays reach ``brentq`` through ``args`` and die with the call.
+    """
+    k = bisect_right(edges, L)
+    return base + dt * (slope[k] * L ** (-1.0 / 3.0) - offset[k])
 
 
 def determine_L(
@@ -212,23 +240,22 @@ def determine_L(
 
     Root-find so the step of length ``dt`` does not change the mass.
     ``states`` are ``ops.edge_states(c, limiter)``.  The search starts from
-    the moment value ``_moment_l``.
+    the moment value ``ops.moment_l``.
 
     The step is ``c_new = S^{-1} (c + dt * advective_rate)`` with
-    ``S = I - dt * Diff`` independent of L, so its mass is ``y . (c + dt *
-    advective_rate)`` with ``y = S^{-T}(x w)``: one transposed solve per call,
-    after which each evaluation is O(n) (see ``_mass_defect``, where
-    ``a = diff(y / w)``).
+    ``S = I - dt * Diff`` independent of L, so its mass is ``(z * w) . (c +
+    dt * advective_rate)`` with ``z`` from ``ops.mass_weights(dt)``, which
+    makes a transposed solve only when ``dt`` changes.  With ``a = diff(z)``
+    the mass change is ``_mass_defect``: one O(n) pass builds its prefix and
+    suffix sums, and each evaluation in the root-find is then O(log n).
     """
-    grid = ops.grid
-    x = grid.centers
+    z_minus_x, a = ops.mass_weights(dt)
+    base = float(z_minus_x @ (c * ops.grid.widths))
     from_left, from_right = states
-    # y / w, solved for directly: (W^{-1} S^T W)(y / w) = x
-    z = solve_banded(shifted(dt, ops.diff_adjoint), x)
-    base = float((z - x) @ (c * grid.widths))
-    a = np.diff(z)
-    args = (base, dt, grid.edges[1:-1], a * from_left, a * from_right)
-    l_mom = _moment_l(c, grid)
+    rows = ops.defect_rows  # (e_j^{1/3}, 1) for the slope and the offset
+    slope, offset = _split_sums(rows * (a * from_right), rows * (a * from_left)).tolist()
+    args = (base, dt, ops.inner_edges, slope, offset)
+    l_mom = ops.moment_l(c)
     # a larger L drifts more mass toward 0, so the defect decreases in L
     lo, hi = bracket(lambda L: _mass_defect(L, *args), 0.5 * l_mom, 2.0 * l_mom,
                      origin=0.0, increasing=False)
@@ -250,8 +277,10 @@ class DiffusiveRunConfig:
     def validate(self) -> None:
         if self.eps <= 0 or self.eps > 1:
             raise ValueError("eps must lie in (0, 1]")
-        if self.t_end <= 0 or self.cfl <= 0 or self.cfl > 0.9:
-            raise ValueError("t_end must be positive and cfl in (0, 0.9]")
+        if self.t_end <= _T_SLACK:
+            raise ValueError(f"t_end must exceed {_T_SLACK:g}, or the run takes no step")
+        if self.cfl <= 0 or self.cfl > 0.9:
+            raise ValueError("cfl must lie in (0, 0.9]")
         if self.n_cells < 16:
             raise ValueError("n_cells too small")
         if self.x_max is not None and self.x_max <= self.eps:
@@ -275,7 +304,7 @@ class DiffusiveSolver:
         self.ops = _Operators(self.grid, config.eps)
         self.cbar = cell_averages(config.tail, self.grid.edges)
         self.t = 0.0
-        self.L = _moment_l(self.cbar, self.grid)
+        self.L = self.ops.moment_l(self.cbar)
         self.neg_clips: list[float] = []
 
     def mass(self) -> float:
@@ -312,7 +341,7 @@ class DiffusiveSolver:
         snapshots = []
         next_out = 1
         next_snap = 0
-        while self.t < cfg.t_end - 1e-12:
+        while self.t < cfg.t_end - _T_SLACK:
             stops = [cfg.t_end]
             if next_out < len(out_times):
                 stops.append(out_times[next_out])
@@ -387,10 +416,10 @@ def adjoint_solve(
                          f"grid's {grid.n_cells} cells")
     n_steps = max(64, 4 * grid.n_cells)
     dt = T / n_steps
-    for k in range(n_steps):
-        t_new = T - (k + 1) * dt
-        L = float(history.value(max(t_new, history.times[0])))
-        w = ops.adjoint_solve_step(w, dt, L)
+    # the step from t_new + dt back to t_new uses L(t_new)
+    t_new = np.maximum(T - np.arange(1, n_steps + 1) * dt, history.times[0])
+    for L in history.value(t_new).tolist():
+        w = solve_banded(shifted(dt, ops.adjoint_bands(L)), w)
     return w
 
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "RateModel",
@@ -80,28 +79,36 @@ def equilibrium_table(model: RateModel, ell_max: int) -> EquilibriumTable:
 
 
 _CRITICAL_CAP = 10**6
-_CRITICAL_STREAK = 5
 _CRITICAL_FIRST = 256  # terms summed first; the table doubles from there
 
 
 def critical_density(model: RateModel, tol: float = 1e-12) -> float:
     """Mass density of the saturated equilibrium, sum_ell ell Q_ell z_s**ell.
 
-    The series is truncated once the term ``ell * Q_ell * z_s**ell`` has been
-    below ``tol`` times the partial sum for 5 consecutive ell >= 2 (guarding
-    against non-monotone early terms).  Raises if the cap of 1e6 terms is hit,
-    which signals pathological parameters.
+    Past their peak the terms ``t_ell = ell Q_ell z_s**ell`` fall, with a
+    ratio ``r_ell = t_{ell+1} / t_ell`` below 1 that creeps back up toward 1.
+    The sum stops at the first ell >= 2 where the
+    geometric tail ``t_{ell+1} / (1 - r_ell)`` is at most ``tol`` times the
+    partial sum, and adds that tail.  Because the ratio still grows, the
+    geometric tail falls short of the true one, by about 1% on the tested
+    models, so the result is low by about ``tol / 100`` relative.  Raises if
+    the cap of 1e6 terms is hit, which signals pathological parameters.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    log_z = math.log(model.z_s)
     n = _CRITICAL_FIRST
     while True:
-        terms = np.arange(1, n + 1) * equilibrium_table(model, n).density(model.z_s)
+        table = equilibrium_table(model, n)
+        ells = np.arange(1, n + 1)
+        terms = ells * table.density(model.z_s)
         totals = np.cumsum(terms)
-        small = terms[1:] < tol * totals[1:]  # ell = 2..n
-        streaks = sliding_window_view(small, _CRITICAL_STREAK).all(axis=1)
-        if streaks.any():
-            return float(totals[np.argmax(streaks) + _CRITICAL_STREAK])
+        ratios = np.exp(np.diff(np.log(ells) + table.log_q + ells * log_z))
+        # tail test t_{ell+1} <= tol * total * (1 - r_ell) for ell = 2..n-1
+        stop = (ratios[1:] < 1.0) & (terms[2:] <= tol * totals[1:-1] * (1.0 - ratios[1:]))
+        if stop.any():
+            i = int(np.argmax(stop)) + 1  # index of the last term summed
+            return float(totals[i] + terms[i + 1] / (1.0 - ratios[i]))
         if n == _CRITICAL_CAP:
             raise RuntimeError("critical_density series did not converge within 1e6 "
                                "terms; check rate parameters")

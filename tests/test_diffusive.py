@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
-from coarsenlab import initial_data
-from coarsenlab.banded import bracket
+from coarsenlab import initial_data, lsw_diffusive
+from coarsenlab.banded import bracket, matvec, weighted_transpose
 from coarsenlab.diagnostics import LHistory
 from coarsenlab.lsw_diffusive import (
     DiffusiveRunConfig,
+    DiffusiveSolver,
     Grid,
-    _moment_l,
+    _mass_defect,
     _Operators,
+    _split_sums,
     adjoint_solve,
     determine_L,
     diffusion_coefficient,
@@ -88,7 +93,7 @@ class TestDetermineL:
         cbar = np.zeros_like(cbar)
         cbar[50] = 1.0
         # all mass at one center: L is exactly that center's volume
-        assert _moment_l(cbar, ops.grid) == pytest.approx(
+        assert ops.moment_l(cbar) == pytest.approx(
             ops.grid.centers[50], rel=1e-12
         )
 
@@ -123,9 +128,91 @@ def _determine_l_by_solves(c, ops, states, dt):
         rhs = c + dt * ops.advective_rate(states, L)
         return float(xw @ ops.diffusion_solve(rhs, dt)) - m0
 
-    l_mom = _moment_l(c, ops.grid)
+    l_mom = ops.moment_l(c)
     lo, hi = bracket(defect, 0.5 * l_mom, 2.0 * l_mom, origin=0.0, increasing=False)
     return brentq(defect, lo, hi, xtol=1e-13, rtol=8.9e-16)
+
+
+def _mass_defect_by_sum(L, base, dt, edges, a_left, a_right):
+    """The step's mass change as one O(n) sum over the interior edges: the
+    oracle for the prefix-sum ``_mass_defect``."""
+    u = np.cbrt(edges / L) - 1.0
+    return base + dt * float(u @ np.where(u > 0, a_left, a_right))
+
+
+@st.composite
+def _defect_case(draw):
+    """Edges of a graded grid, edge weights, and an L below, between,
+    exactly on or above the edges."""
+    n = draw(st.integers(2, 40))  # interior edges
+    edges = Grid.log_graded(draw(st.floats(0.01, 1.0)), draw(st.floats(2.0, 50.0)),
+                            n + 1).edges[1:-1]
+    weights = arrays(float, n, elements=st.floats(-10.0, 10.0))
+    a_left, a_right = draw(weights), draw(weights)
+    j = draw(st.integers(0, n - 2))
+    where = draw(st.sampled_from(["below", "between", "on", "above"]))
+    if where == "below":
+        L = edges[0] * draw(st.floats(1e-3, 0.999))
+    elif where == "between":
+        L = edges[j] + draw(st.floats(1e-3, 0.999)) * (edges[j + 1] - edges[j])
+    elif where == "on":
+        L = edges[draw(st.sampled_from([j, j + 1]))]
+    else:
+        L = edges[-1] * draw(st.floats(1.001, 100.0))
+    return float(L), draw(st.floats(-1.0, 1.0)), draw(st.floats(1e-4, 1.0)), \
+        edges, a_left, a_right
+
+
+class TestMassDefect:
+    @given(_defect_case())
+    def test_prefix_sums_equal_the_direct_sum(self, case):
+        L, base, dt, edges, a_left, a_right = case
+        cbrt_e = np.cbrt(edges)
+        value = _mass_defect(L, base, dt, edges.tolist(),
+                             _split_sums(cbrt_e * a_right, cbrt_e * a_left).tolist(),
+                             _split_sums(a_right, a_left).tolist())
+        # rounding differs: cube roots taken apart, sums in another order
+        scale = abs(base) + dt * float((np.cbrt(edges / L) + 1.0)
+                                       @ (np.abs(a_left) + np.abs(a_right)))
+        expected = _mass_defect_by_sum(L, base, dt, edges, a_left, a_right)
+        assert abs(value - expected) <= 1e-14 * scale
+
+    def test_split_sums(self):
+        below, above = np.array([1.0, 2.0, 4.0]), np.array([8.0, 16.0, 32.0])
+        assert _split_sums(below, above).tolist() == [56.0, 49.0, 35.0, 7.0]
+        # row by row
+        assert _split_sums(np.vstack((below, above)), np.vstack((above, below))).tolist() == [
+            [56.0, 49.0, 35.0, 7.0], [7.0, 14.0, 28.0, 56.0]]
+
+
+def _upwind_bands(ops, L):
+    """The first-order upwind operator Adv(L), banded, built row by row from
+    its edge fluxes: the oracle for ``adjoint_bands``."""
+    n = ops.grid.n_cells
+    u = ops.edge_velocity(L)
+    dense = np.zeros((n, n))
+    for i in range(n - 1):  # the edge between cells i and i+1
+        upwind = i if u[i + 1] > 0 else i + 1
+        dense[i, upwind] -= u[i + 1] / ops.grid.widths[i]
+        dense[i + 1, upwind] += u[i + 1] / ops.grid.widths[i + 1]
+    ab = np.zeros((3, n))
+    ab[0, 1:] = np.diag(dense, 1)
+    ab[1] = np.diag(dense)
+    ab[2, :-1] = np.diag(dense, -1)
+    return ab
+
+
+class TestAdjointBands:
+    @pytest.mark.parametrize("L", [1e-3, 0.7, 3.0, 1e3])
+    def test_equal_the_weighted_transpose(self, L):
+        c, ops = _exp_data()
+        upwind = _upwind_bands(ops, L)
+        # the oracle is the forward scheme without the limiter
+        assert np.allclose(matvec(upwind, c),
+                           ops.advective_rate(ops.edge_states(c, False), L),
+                           rtol=1e-13, atol=1e-13 * np.abs(c).max())
+        expected = weighted_transpose(ops.diff + upwind, ops.grid.widths)
+        np.testing.assert_allclose(ops.adjoint_bands(L), expected, rtol=1e-14, atol=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +251,29 @@ class TestRun:
         assert history.times[0] == 0.0
         assert history.t_end == pytest.approx(2.0)
         assert np.all(history.values > 0)
+
+    def test_one_transposed_solve_per_dt_change(self, monkeypatch):
+        cfg = DiffusiveRunConfig(tail=initial_data.exponential_moment(), eps=0.25,
+                                 t_end=0.2, n_cells=64, output_stride=0.05)
+        solves, dts = [], []
+        solve, step = lsw_diffusive.solve_banded, DiffusiveSolver.step
+
+        def counted_solve(ab, b):
+            solves.append(b)
+            return solve(ab, b)
+
+        def recorded_step(self, dt):
+            dts.append(dt)
+            step(self, dt)
+
+        monkeypatch.setattr(lsw_diffusive, "solve_banded", counted_solve)
+        monkeypatch.setattr(DiffusiveSolver, "step", recorded_step)
+        _, _, _, solver = run_diffusive(cfg)
+        changes = 1 + sum(a != b for a, b in zip(dts, dts[1:]))
+        assert 1 < changes < len(dts)  # the output stops clip a few steps
+        transposed = sum(b is solver.grid.centers for b in solves)  # the mass weights
+        assert transposed == changes
+        assert len(solves) == len(dts) + changes  # and one forward solve a step
 
     def test_zero_data_stays_zero_operators(self):
         grid = Grid.log_graded(0.25, 10.0, 64)

@@ -46,6 +46,11 @@ CONFIG_FAULTS = [
     # the first CFL step is 3.1e-12, so reaching t_end would take 3.2e10 steps
     ("diffusive", {"eps": 1e-12, "n_cells": 16, "t_end": 0.1}, "eps"),
     ("duality", {"eps": 1e-12, "n_cells": 16}, "eps"),
+    # at or below the run loop's slack no step is taken, and every check would pass
+    ("diffusive", {"eps": 0.2, "n_cells": 16, "t_end": 1e-13}, "t_end"),
+    ("duality", {"n_cells": 16, "T": 1e-13}, "T:"),
+    ("bd", {"ell_max": 20, "initial": {"kind": "bins", "entries": [[2, 1.0]]},
+            "t_end": 1e-15}, "t_end"),
     ("duality", {"n_cells": 8}, "n_cells"),
     ("bd", {"initial": {"kind": "bins", "entries": [[2, "x"]]}}, "entries"),
     ("bd", {"closure": "full"}, "closure"),

@@ -10,7 +10,8 @@ and one line is printed per config: its name, the exit code, the number of
 files written and the digest, the first 16 hex digits of the sha256 over the
 lines ``<relative path> <file sha256>`` sorted by path, followed by the
 ``summary.json`` scalars the benchmark gates (``L_end``, ``Lambda_end``, the
-duality residuals) and the sweep's two classical rates
+duality residuals, the Monte Carlo check's adjoint values ``pde``) and the
+sweep's two classical rates
 (``classical_rate_semi_analytic``, ``classical_rate_fd``), printed in full
 precision.  Run it on two commits and compare the lines; equal digests mean
 byte-identical artifacts, and where they differ the scalars show how far the
@@ -76,6 +77,7 @@ def gated_scalars(out: str) -> str:
     for group in ("residuals", "refined_residuals"):
         pairs += [(f"{group}.{name}", vals["residual"])
                   for name, vals in sorted(details.get(group, {}).items())]
+    pairs += [(f"pde[{i}]", record["pde"]) for i, record in enumerate(details.get("records", []))]
     return "".join(f"  {key} {value!r}" for key, value in pairs)
 
 

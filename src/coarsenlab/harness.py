@@ -322,7 +322,8 @@ def _run_classical(run_cfg: lsw_classical.ClassicalRunConfig, out_dir: str) -> O
         _check("mass_residual", resid <= 1e-6, max_residual=resid),
     ]
     return checks, {"L_end": float(big_l[-1]), "Lambda_end": float(lam[-1]),
-                    "max_mass_residual": resid}
+                    "max_mass_residual": resid, "fp_iterations": sum(solver.fp_iterations),
+                    "fp_iterations_max_step": max(solver.fp_iterations)}
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +419,8 @@ def _parse_sweep(cfg: dict, seed: int, refine: bool):
 
     big_t = _get(cfg, "T", float, 1.0, check=window)
     t_end = big_t + _get(cfg, "t_margin", float, 0.25, check=window)
+    _require(t_end > lsw_diffusive._T_SLACK, f"T + t_margin must exceed "
+             f"{lsw_diffusive._T_SLACK:g}, or the diffusive runs take no step, got {t_end!r}")
     cls_cfg = _classical_config(
         {**cfg, "t_end": t_end, "dt": _get(cfg, "classical_dt", float, 0.0125, check=_positive)})
     diff_cfgs = [

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from coarsenlab import initial_data, lsw_classical
@@ -10,6 +12,8 @@ from coarsenlab.lsw_classical import (
     ClassicalRunConfig,
     ClassicalSolver,
     _backward_feet,
+    _fixed_point_start,
+    _interp_reader,
     characteristic_backward,
     characteristic_jacobian,
     rate_semi_analytic,
@@ -207,6 +211,68 @@ class TestLHistory:
     def test_floor_enforced(self):
         with pytest.raises(ValueError):
             LHistory(times=np.array([0.0, 1.0]), values=np.array([1.0, 1e-12]))
+
+
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def knots_and_points(draw):
+    """Increasing knot times, values of either sign, and points to read at."""
+    times = sorted(draw(st.lists(_FINITE, min_size=1, max_size=12, unique=True)))
+    values = draw(st.lists(_FINITE, min_size=len(times), max_size=len(times)))
+    mids = [0.5 * (a + b) for a, b in zip(times, times[1:])]
+    ends = [times[0] - 1.0, times[-1] + 1.0, np.nextafter(times[0], -np.inf),
+            np.nextafter(times[-1], np.inf)]
+    inside = draw(st.lists(st.floats(times[0] - 1.0, times[-1] + 1.0), max_size=20))
+    return np.array(times), np.array(values), [*times, *mids, *ends, *inside]
+
+
+class TestInterpReader:
+    @given(knots_and_points())
+    def test_equals_np_interp_bit_for_bit(self, case):
+        times, values, points = case
+        value_at = _interp_reader(times, values)
+        for s in points:
+            got, want = value_at(s), np.interp(s, times, values)
+            assert got == want and np.signbit(got) == np.signbit(want), (s, got, want)
+
+    def test_signed_zero_knot_values(self):
+        # at a knot the knot's own value, not slope*0 + v, which is +0 for v = -0
+        value_at = _interp_reader(np.array([0.0, 1.0]), np.array([-0.0, 1.0]))
+        assert value_at(0.0) == 0.0 and np.signbit(value_at(0.0))
+        value_at = _interp_reader(np.array([0.5]), np.array([-0.0]))  # a single knot
+        for s in (-1.0, 0.5, 2.0):
+            assert value_at(s) == 0.0 and np.signbit(value_at(s))
+
+
+class TestFixedPointStart:
+    def test_exact_for_a_cubic_on_varying_steps(self):
+        times = np.array([0.0, 0.1, 0.15, 0.3, 0.35])
+        cubic = np.polynomial.Polynomial([1.0, 0.5, -0.3, 0.2])
+        hist = LHistory(times=times, values=cubic(times))
+        assert _fixed_point_start(hist, 0.4) == pytest.approx(cubic(0.4), rel=1e-13)
+
+    def test_first_step_starts_from_the_current_value(self):
+        assert _fixed_point_start(LHistory.constant(1.3, 0.1), 0.2) == 1.3
+        hist = LHistory(times=np.array([0.0]), values=np.array([1.7]))
+        assert _fixed_point_start(hist, 0.1) == 1.7
+
+    def test_steeply_falling_history_is_clamped_positive(self):
+        # the cubic through these knots is -0.6 at t = 0.4
+        hist = LHistory(times=np.array([0.0, 0.1, 0.2, 0.3]),
+                        values=np.array([1.0, 0.9, 0.6, 0.1]))
+        assert _fixed_point_start(hist, 0.4) == 0.5 * 0.1
+        # and the cubic through these is 5 at t = 0.4
+        rising = LHistory(times=hist.times, values=np.array([1.0, 1.0, 1.0, 2.0]))
+        assert _fixed_point_start(rising, 0.4) == 2.0 * 2.0
+
+    def test_reference_run_takes_two_iterations_after_the_fifth_step(
+            self, classical_exponential_run):
+        iterations = classical_exponential_run[2].fp_iterations
+        assert len(iterations) == 40
+        assert max(iterations[5:]) <= 2
+        assert sum(iterations) <= 90
 
 
 class TestSolver:

@@ -70,6 +70,9 @@ CONFIG_FAULTS = [
                "classical_dt": 0.05, "panels": 2, "nodes_per_panel": 2}, "t_margin"),
     ("sweep", {"eps_ladder": [0.5, 0.25], "T": 0.05, "t_margin": 0.25, "n_cells": 16,
                "classical_dt": 0.05, "panels": 2, "nodes_per_panel": 2}, "T"),
+    # T and t_margin pass the stride check, but their sum is too short for a step
+    ("sweep", {"output_stride": 1e-14, "T": 3e-14, "t_margin": 3e-14, "n_cells": 16},
+     "T + t_margin"),
     ("classical", {"panels": "x"}, "panels"),
     ("classical", {"initial": {"kind": "compact-bump"}}, "initial"),
     # probe i draws from the Philox key seed + i, which must stay below 2**128

@@ -41,6 +41,11 @@ CONFIGS = [
     ("bench duality-adjoint --refine", WORKLOADS["duality-adjoint"], DEFAULT_SEED, True),
     ("default sweep", {"kind": "sweep"}, None, False),
     ("ACCEPTANCE 12 classical", {"kind": "classical", "t_end": 0.25}, None, False),
+    # classical characteristics on data with a compact support; at this dt the
+    # mass residual (6.2e-6, falling as dt^2) fails the 1e-6 check, so it exits 1
+    ("classical bump", {"kind": "classical",
+                        "initial": {"kind": "compact-bump", "a": 0.5, "b": 1.5},
+                        "t_end": 2.0, "dt": 0.1}, None, False),
     # most paths are absorbed mid-run, so the Monte Carlo drops paths as it goes
     ("mc-check absorbing", {"kind": "mc-check", "T": 1.0, "probes": [0.1, 0.25],
                             "payoff": "cuberoot"}, None, False),

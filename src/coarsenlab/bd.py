@@ -30,7 +30,7 @@ the steppers carry as their state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -75,18 +75,20 @@ class DirichletClosure:
 
 @dataclass
 class BdRunConfig:
+    """A field with ``json`` metadata is a ``bd`` config key: its JSON type and default."""
+
     model: RateModel
     closure: FullClosure | DirichletClosure
     initial: np.ndarray  # gamma_ell, ell = 1..ell_max
-    t_end: float
-    dt_init: float = 1e-3
-    scheme: str = "semi-implicit"  # or "explicit-adaptive"
-    output_stride: float = 0.1
+    t_end: float = field(default=10.0, metadata={"json": float})
+    dt_init: float = field(default=1e-3, metadata={"json": float})
+    scheme: str = field(default="semi-implicit", metadata={"json": str})  # or "explicit-adaptive"
+    output_stride: float = field(default=0.5, metadata={"json": float})
 
     def validate(self) -> None:
         gamma = np.asarray(self.initial, dtype=float)
-        if gamma.ndim != 1 or len(gamma) < 3:
-            raise ValueError("initial data must be a 1-D array with ell_max >= 3")
+        if gamma.ndim != 1:
+            raise ValueError("initial data must be a 1-D array")
         if np.any(gamma < 0):
             raise ValueError("initial data must be nonnegative")
         ells = np.arange(1, len(gamma) + 1)

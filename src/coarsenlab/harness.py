@@ -1,13 +1,16 @@
 """Experiment orchestration: configs, runs, checks, and artifact output.
 
-``KINDS`` maps each experiment kind to a parser that reads and validates
-every field of its JSON config through one accessor, ``_get``, and returns
-the run.  A run writes ``config.json`` (echo), ``series.csv``,
-``snapshots/*.csv``, and ``summary.json`` with a per-check pass/fail list.
-``run_experiment`` maps the outcome to the exit code in one place: 0 all
-checks pass, 1 a check failed, 2 invalid config (a field missing, of the
-wrong JSON type, or failing validation; nothing runs), 3 any exception while
-running (``summary.json`` then records its type and message).
+``KINDS`` maps each experiment kind to its field table, key -> (JSON type,
+default, check), and to its parser, which turns the values read by the table
+into the run.  The tables take in the ``json`` fields of the run-config
+dataclasses, whose ``validate()`` holds their checks.  A run writes
+``config.json`` (the effective config: every field, defaults and derived
+values filled in, and the seed), ``series.csv``, ``snapshots/*.csv``, and
+``summary.json`` with a per-check pass/fail list.  ``run_experiment`` maps the
+outcome to the exit code in one place: 0 all checks pass, 1 a check failed,
+2 invalid config (a key outside the table, nested ones included, or a field
+missing, of the wrong JSON type, or failing validation; nothing runs), 3 any
+exception while running (``summary.json`` then records its type and message).
 All outputs are deterministic for a given config and seed.
 """
 
@@ -31,6 +34,7 @@ from .rates import RateModel, equilibrium_table
 __all__ = [
     "KINDS",
     "ConfigError",
+    "parse_config",
     "run_experiment",
     "tail_distance",
     "tail_quantile_probes",
@@ -47,11 +51,11 @@ Outcome = tuple[list[dict], dict]  # (checks, details) of one run
 # ---------------------------------------------------------------------------
 # config access
 
-_REQUIRED = object()
+_REQUIRED = dataclasses.MISSING  # the default of a field a config must set
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
                str: "a string", list: "a list", dict: "an object",
+               list[float]: "a list of finite numbers", list[list]: "a list of lists",
                (str, list): "a string or a list"}
-_EXPONENTIAL = {"kind": "exponential-moment"}
 
 
 def _is(value, kind) -> bool:
@@ -65,14 +69,16 @@ def _get(cfg: dict, name, kind, default=_REQUIRED, check=None):
     """Field ``name`` of ``cfg`` as JSON type ``kind``: the one config accessor.
 
     Raises ConfigError naming the field if it is missing and has no default,
-    has another JSON type, or fails ``check``.  ``check`` sees the value (or
-    the default) and raises ValueError to reject it; a non-None return
-    replaces the value.  Reads nested inside a check are named by their path.
+    has another JSON type, or fails ``check``.  A ``list[item]`` is read item
+    by item into a tuple.  ``check`` sees the value (or the default) and
+    raises ValueError to reject it; a non-None return replaces the value.
+    Reads nested inside a check are named by their path.
     """
     label = f"[{name}]" if isinstance(name, int) else name
+    origin = getattr(kind, "__origin__", kind)
     if name in cfg:
         value = cfg[name]
-        if not _is(value, kind):
+        if not _is(value, origin):
             raise ConfigError(f"{label}: expected {_TYPE_NAMES[kind]}, "
                               f"got {reprlib.repr(value)}")
         if kind is float:
@@ -81,14 +87,35 @@ def _get(cfg: dict, name, kind, default=_REQUIRED, check=None):
         raise ConfigError(f"{label}: required field is missing")
     else:
         value = default
-    if check is not None:
-        try:
-            checked = check(value)
-        except ValueError as exc:
-            raise ConfigError(f"{label}: {exc}") from None
-        if checked is not None:
-            value = checked
-    return value
+    try:
+        if origin is not kind:
+            value = tuple(_get(dict(enumerate(value)), i, *kind.__args__)
+                          for i in range(len(value)))
+        checked = None if check is None else check(value)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from None
+    return value if checked is None else checked
+
+
+def _read(cfg: dict, table: dict) -> dict:
+    """Each field of ``table``, key -> ``_get``'s (kind, default, check), read
+    from ``cfg`` with its default filled in; any other key of ``cfg`` is an error."""
+    unknown = [repr(key) for key in cfg if key not in table]
+    _require(not unknown, f"unknown key{'s' if len(unknown) > 1 else ''}: {', '.join(unknown)}")
+    return {key: _get(cfg, key, *entry) for key, entry in table.items()}
+
+
+def _table(cls, *drop: str) -> dict:
+    """key -> (JSON type, default) of the fields of dataclass ``cls`` with ``json`` metadata."""
+    return {f.name: (f.metadata["json"], f.default) for f in dataclasses.fields(cls)
+            if "json" in f.metadata and f.name not in drop}
+
+
+def _tagged(tag: str, tables: dict):
+    """Check for an object whose string field ``tag`` picks its table in ``tables``."""
+    def read(spec: dict) -> dict:
+        return _read(spec, {tag: (str,), **tables[_get(spec, tag, str, check=_one_of(*tables))]})
+    return read
 
 
 def _require(cond: bool, message: str) -> None:
@@ -108,16 +135,9 @@ def _one_of(*options):
     return lambda value: _require(value in options, f"must be one of {options}, got {value!r}")
 
 
-def _items(kind, check=None):
-    """Check for a list field: every item read as JSON type ``kind``."""
-    def parse(values: list) -> list:
-        indexed = dict(enumerate(values))
-        return [_get(indexed, i, kind, check=check) for i in indexed]
-    return parse
-
-
-def _validated(run_cfg):
-    """``run_cfg`` once its own ``validate()`` passes, as a config error if not."""
+def _config(cls, values: dict, **fixed):
+    """``cls`` of its fields in ``values`` and ``fixed``, once its ``validate()`` passes."""
+    run_cfg = cls(**{**{key: values[key] for key in _table(cls) if key in values}, **fixed})
     try:
         run_cfg.validate()
     except ValueError as exc:
@@ -125,15 +145,20 @@ def _validated(run_cfg):
     return run_cfg
 
 
-def _initial_tail(spec: dict) -> initial_data.InitialTail:
-    kind = _get(spec, "kind", str)
-    if kind == "compact-bump":
-        _get(spec, "a", float)
-        _get(spec, "b", float)
-    elif kind == "table":
-        _get(spec, "x", list, check=_items(float))
-        _get(spec, "c", list, check=_items(float))
-    return initial_data.from_spec(spec)
+# initial-data kind of the continuum experiments -> (its constructor, its fields)
+_TAILS = {
+    "exponential-moment": (initial_data.exponential_moment, {}),
+    "compact-bump": (initial_data.compact_bump, {"a": (float,), "b": (float,)}),
+    "table": (initial_data.tabulated, {"x": (list[float],), "c": (list[float],)}),
+}
+_INITIAL = (dict, {"kind": "exponential-moment"},
+            _tagged("kind", {kind: fields for kind, (_, fields) in _TAILS.items()}))
+
+
+def _tail(values: dict) -> initial_data.InitialTail:
+    """The initial data of the read ``initial`` field of ``values``."""
+    return _get(values, "initial", dict, check=lambda spec: _TAILS[spec["kind"]][0](
+        **{key: value for key, value in spec.items() if key != "kind"}))
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +181,7 @@ def _write_snapshot(out_dir: str, name: str, header: str, t: float,
 
 
 def _check(name: str, passed: bool, **extra) -> dict:
-    entry = {"name": name, "passed": bool(passed)}
-    entry.update(extra)
-    return entry
+    return {"name": name, "passed": bool(passed), **extra}
 
 
 def tail_quantile_probes(tail: initial_data.InitialTail, n: int = 16) -> np.ndarray:
@@ -178,13 +201,9 @@ def tail_quantile_probes(tail: initial_data.InitialTail, n: int = 16) -> np.ndar
     return np.array(sorted(probes))
 
 
-def tail_distance(
-    diffusive_solver: lsw_diffusive.DiffusiveSolver,
-    cbar: np.ndarray,
-    classical_solver: lsw_classical.ClassicalSolver,
-    t: float,
-    probes: np.ndarray,
-) -> tuple[float, list[dict]]:
+def tail_distance(diffusive_solver: lsw_diffusive.DiffusiveSolver, cbar: np.ndarray,
+                  classical_solver: lsw_classical.ClassicalSolver, t: float,
+                  probes: np.ndarray) -> tuple[float, list[dict]]:
     """Sup over probes of |int_x^inf c_eps  -  w0(F(x,t))| plus the table."""
     tail_eps = diffusive_solver.tail_at(cbar, probes)
     tail_cls = np.atleast_1d(classical_solver.tail_value(probes, t))
@@ -200,62 +219,54 @@ def tail_distance(
 # bd experiment
 
 
-def _bin(ell_max: int):
-    """Check for one 'bins' entry [ell, value]; returns the pair."""
-    def parse(pair: list) -> tuple[int, float]:
-        _require(len(pair) == 2 and _is(pair[0], int) and _is(pair[1], float)
-                 and 2 <= pair[0] <= ell_max and pair[1] >= 0,
-                 f"expected [ell, value] with 2 <= ell <= {ell_max}, value >= 0")
-        return pair[0], float(pair[1])
-    return parse
+# bd initial kinds and closure types; a default of None is derived from the
+# run: c1 is 0.9 z_s, rho the initial mass
+_BD = {
+    "model": (dict, {}, functools.partial(
+        _read, table={name: (float, 1.0) for name in ("a1", "z_s", "q")})),
+    "closure": (dict, {"type": "dirichlet"},
+                _tagged("type", {"full": {"rho": (float, None)}, "dirichlet": {}})),
+    "ell_max": (int, 400, _at_least(3)),
+    "initial": (dict, _REQUIRED, _tagged("kind", {"equilibrium": {"c1": (float, None)},
+                                                  "bins": {"entries": (list[list],)}})),
+    **_table(bd_mod.BdRunConfig),
+}
 
 
 def _bd_initial(spec: dict, model: RateModel, ell_max: int) -> np.ndarray:
-    """gamma_ell on ell = 1..ell_max from an 'equilibrium' or a 'bins' spec."""
-    kind = _get(spec, "kind", str, check=_one_of("equilibrium", "bins"))
-    if kind == "equilibrium":
-        c1 = _get(spec, "c1", float, 0.9 * model.z_s, check=lambda v: _require(
-            0 < v <= model.z_s, "must lie in (0, z_s]"))
-        return equilibrium_table(model, ell_max).density(c1)
+    """gamma_ell on ell = 1..ell_max from a read 'initial' spec; fills in its c1."""
+    if spec["kind"] == "equilibrium":
+        spec["c1"] = 0.9 * model.z_s if spec["c1"] is None else spec["c1"]
+        _require(0 < spec["c1"] <= model.z_s, "c1: must lie in (0, z_s]")
+        return equilibrium_table(model, ell_max).density(spec["c1"])
     gamma = np.zeros(ell_max)
-    for ell, value in _get(spec, "entries", list, check=_items(list, _bin(ell_max))):
-        gamma[ell - 1] = value
+    for i, pair in enumerate(spec["entries"]):
+        _require(len(pair) == 2 and _is(pair[0], int) and _is(pair[1], float)
+                 and 2 <= pair[0] <= ell_max and pair[1] >= 0,
+                 f"entries: [{i}]: expected [ell, value] with 2 <= ell <= {ell_max}, value >= 0")
+        gamma[pair[0] - 1] = pair[1]
     mass = float(np.arange(1, ell_max + 1) @ gamma)
     _require(mass > 0, "entries: carry no mass")
     return gamma / mass  # Dirichlet normalization: unit mass on ell >= 2
 
 
-def _bd_closure(spec: dict) -> tuple[str, float | None]:
-    kind = _get(spec, "type", str, check=_one_of("full", "dirichlet"))
-    return kind, _get(spec, "rho", float, None)
-
-
-def _parse_bd(cfg: dict, seed: int, refine: bool):
-    model = _get(cfg, "model", dict, {}, check=lambda m: RateModel(
-        *(_get(m, name, float, 1.0) for name in ("a1", "z_s", "q"))))
-    closure_kind, rho = _get(cfg, "closure", dict, {"type": "dirichlet"}, check=_bd_closure)
-    ell_max = _get(cfg, "ell_max", int, 400, check=_at_least(3))
-    gamma = _get(cfg, "initial", dict,
-                 check=lambda spec: _bd_initial(spec, model, ell_max))
-    if closure_kind == "full":
-        mass = float(np.arange(1, ell_max + 1) @ gamma)
-        closure = bd_mod.FullClosure(rho=mass if rho is None else rho)
-    else:
+def _parse_bd(values: dict, refine: bool):
+    model = _get(values, "model", dict, check=lambda spec: RateModel(**spec))
+    ell_max = values["ell_max"]
+    gamma = _get(values, "initial", dict, check=lambda spec: _bd_initial(spec, model, ell_max))
+    closure = values["closure"]
+    full = closure["type"] == "full"
+    if full and closure["rho"] is None:
+        closure["rho"] = float(np.arange(1, ell_max + 1) @ gamma)
+    if not full:
         gamma[0] = 0.0
-        closure = bd_mod.DirichletClosure()
-    bound = bd_mod.truncation_bound(closure.rho if closure_kind == "full" else 1.0, ell_max)
+    bound = bd_mod.truncation_bound(closure["rho"] if full else 1.0, ell_max)
     _require(gamma[-1] <= bound,
              f"ell_max: the initial density there, {gamma[-1]:.3e}, already exceeds "
              f"the truncation bound {bound:.3e}; increase ell_max")
-    return functools.partial(_run_bd, _validated(bd_mod.BdRunConfig(
-        model=model,
-        closure=closure,
-        initial=gamma,
-        t_end=_get(cfg, "t_end", float, 10.0),
-        dt_init=_get(cfg, "dt_init", float, 1e-3),
-        scheme=_get(cfg, "scheme", str, "semi-implicit"),
-        output_stride=_get(cfg, "output_stride", float, 0.5),
-    )))
+    return functools.partial(_run_bd, _config(
+        bd_mod.BdRunConfig, values, model=model, initial=gamma,
+        closure=bd_mod.FullClosure(closure["rho"]) if full else bd_mod.DirichletClosure()))
 
 
 def _run_bd(run_cfg: bd_mod.BdRunConfig, out_dir: str) -> Outcome:
@@ -291,18 +302,12 @@ def _run_bd(run_cfg: bd_mod.BdRunConfig, out_dir: str) -> Outcome:
 # classical experiment
 
 
-def _classical_config(cfg: dict) -> lsw_classical.ClassicalRunConfig:
-    return _validated(lsw_classical.ClassicalRunConfig(
-        tail=_get(cfg, "initial", dict, _EXPONENTIAL, check=_initial_tail),
-        t_end=_get(cfg, "t_end", float, 1.0),
-        dt=_get(cfg, "dt", float, 0.0125),
-        panels=_get(cfg, "panels", int, 24),
-        nodes_per_panel=_get(cfg, "nodes_per_panel", int, 8),
-    ))
+_CLASSICAL = {"initial": _INITIAL, **_table(lsw_classical.ClassicalRunConfig)}
 
 
-def _parse_classical(cfg: dict, seed: int, refine: bool):
-    return functools.partial(_run_classical, _classical_config(cfg))
+def _parse_classical(values: dict, refine: bool):
+    return functools.partial(_run_classical, _config(
+        lsw_classical.ClassicalRunConfig, values, tail=_tail(values)))
 
 
 def _run_classical(run_cfg: lsw_classical.ClassicalRunConfig, out_dir: str) -> Outcome:
@@ -333,25 +338,23 @@ def _run_classical(run_cfg: lsw_classical.ClassicalRunConfig, out_dir: str) -> O
 _STEP_BUDGET = 1e7  # diffusive steps a run may take at its initial CFL step
 
 
-def _diffusive_config(cfg: dict) -> lsw_diffusive.DiffusiveRunConfig:
+_DIFFUSIVE = {
+    "initial": _INITIAL,
+    **_table(lsw_diffusive.DiffusiveRunConfig),
     # L always conserves mass; a config may still name that scheme
-    _get(cfg, "l_mode", str, "conserve", check=_one_of("conserve"))
-    run_cfg = _validated(lsw_diffusive.DiffusiveRunConfig(
-        tail=_get(cfg, "initial", dict, _EXPONENTIAL, check=_initial_tail),
-        eps=_get(cfg, "eps", float),
-        t_end=_get(cfg, "t_end", float, 1.0),
-        x_max=_get(cfg, "x_max", float, None),
-        n_cells=_get(cfg, "n_cells", int, 512),
-        limiter=_get(cfg, "limiter", bool, True),
-        cfl=_get(cfg, "cfl", float, 0.5),
-        output_stride=_get(cfg, "output_stride", float, 0.1),
-        snapshot_times=tuple(_get(cfg, "snapshot_times", list, [], check=_items(float))),
-    ))
+    "l_mode": (str, "conserve", _one_of("conserve")),
+}
+
+
+def _diffusive_config(values: dict, tail: initial_data.InitialTail,
+                      **fixed) -> lsw_diffusive.DiffusiveRunConfig:
+    run_cfg = _config(lsw_diffusive.DiffusiveRunConfig, values, tail=tail, **fixed)
     # the CFL step binds in the first cell, whose width scales with eps
     steps = run_cfg.t_end / lsw_diffusive.DiffusiveSolver(run_cfg)._dt()
     _require(steps <= _STEP_BUDGET,
              f"eps: {run_cfg.eps!r} needs about {steps:.2g} steps to reach t_end "
              f"{run_cfg.t_end!r}, over the budget of {_STEP_BUDGET:.0e}")
+    values["x_max"] = run_cfg.grid_x_max  # recorded as the grid has it
     return run_cfg
 
 
@@ -379,8 +382,8 @@ def _diffusive_checks(series: diagnostics.TrajectorySeries) -> list[dict]:
     return checks
 
 
-def _parse_diffusive(cfg: dict, seed: int, refine: bool):
-    return functools.partial(_run_diffusive, _diffusive_config(cfg))
+def _parse_diffusive(values: dict, refine: bool):
+    return functools.partial(_run_diffusive, _diffusive_config(values, _tail(values)))
 
 
 def _run_diffusive(run_cfg: lsw_diffusive.DiffusiveRunConfig, out_dir: str) -> Outcome:
@@ -399,35 +402,38 @@ def _run_diffusive(run_cfg: lsw_diffusive.DiffusiveRunConfig, out_dir: str) -> O
 # sweep experiment (diffusive -> classical limit)
 
 
-def _eps_ladder(values: list) -> list[float]:
-    ladder = _items(float)(values)
-    _require(len(ladder) >= 2 and all(a > b for a, b in zip(ladder, ladder[1:]))
-             and 0 < ladder[-1] and ladder[0] <= 1,
-             "needs at least two strictly decreasing values in (0, 1]")
-    return ladder
+# the classical and diffusive fields a sweep does not set itself
+_SWEEP = {
+    "initial": _INITIAL,
+    **_table(lsw_classical.ClassicalRunConfig, "t_end", "dt"),
+    **_table(lsw_diffusive.DiffusiveRunConfig, "eps", "t_end", "output_stride", "snapshot_times"),
+    "eps_ladder": (list[float], (0.2, 0.1, 0.05, 0.025), lambda ladder: _require(
+        len(ladder) >= 2 and all(a > b for a, b in zip(ladder, ladder[1:]))
+        and 0 < ladder[-1] and ladder[0] <= 1,
+        "needs at least two strictly decreasing values in (0, 1]")),
+    "T": (float, 1.0),
+    "t_margin": (float, 0.25),
+    "output_stride": (float, 0.05),
+    "classical_dt": (float, lsw_classical.ClassicalRunConfig.dt, _positive),
+}
 
 
-def _parse_sweep(cfg: dict, seed: int, refine: bool):
-    ladder = _get(cfg, "eps_ladder", list, [0.2, 0.1, 0.05, 0.025], check=_eps_ladder)
-    stride = _get(cfg, "output_stride", float, 0.05, check=_positive)
-
-    def window(value) -> None:
+def _parse_sweep(values: dict, refine: bool):
+    stride, big_t, tail = values["output_stride"], values["T"], _tail(values)
+    for name in ("T", "t_margin"):
         # the rate at T is a centered difference over two strides on each
         # side; the slack absorbs the rounding in the output times
-        _require(value >= 2.0 * stride * (1.0 + 1e-9),
-                 f"must exceed two output strides ({2.0 * stride!r}), got {value!r}")
-
-    big_t = _get(cfg, "T", float, 1.0, check=window)
-    t_end = big_t + _get(cfg, "t_margin", float, 0.25, check=window)
+        _require(values[name] >= 2.0 * stride * (1.0 + 1e-9),
+                 f"{name}: must exceed two output strides ({2.0 * stride!r}), "
+                 f"got {values[name]!r}")
+    t_end = big_t + values["t_margin"]
     _require(t_end > lsw_diffusive._T_SLACK, f"T + t_margin must exceed "
              f"{lsw_diffusive._T_SLACK:g}, or the diffusive runs take no step, got {t_end!r}")
-    cls_cfg = _classical_config(
-        {**cfg, "t_end": t_end, "dt": _get(cfg, "classical_dt", float, 0.0125, check=_positive)})
-    diff_cfgs = [
-        _diffusive_config({**cfg, "eps": eps, "t_end": t_end, "output_stride": stride,
-                           "snapshot_times": [big_t]})
-        for eps in ladder
-    ]
+    cls_cfg = _config(lsw_classical.ClassicalRunConfig, values, tail=tail, t_end=t_end,
+                      dt=values["classical_dt"])
+    diff_cfgs = [_diffusive_config(values, tail, eps=eps, t_end=t_end, output_stride=stride,
+                                   snapshot_times=(big_t,))
+                 for eps in values["eps_ladder"]]
     return functools.partial(_run_sweep, cls_cfg, diff_cfgs, big_t, stride)
 
 
@@ -442,8 +448,7 @@ def _run_sweep(cls_cfg: lsw_classical.ClassicalRunConfig,
     cls_times = diagnostics.output_times(t_end, stride)
     cls_lambda = np.interp(cls_times, cls_series.times, cls_series.column("Lambda"))
     cls_for_rate = diagnostics.TrajectorySeries(
-        times=cls_times, columns={"Lambda": cls_lambda}, provenance="sweep:classical"
-    )
+        times=cls_times, columns={"Lambda": cls_lambda}, provenance="sweep:classical")
     rate_cls_fd, fd_smooth = diagnostics.coarsening_rate(cls_for_rate, big_t)
     rate_cls_sa = lsw_classical.rate_semi_analytic(cls_solver, big_t)
     rate_rel_err = abs(rate_cls_fd - rate_cls_sa) / abs(rate_cls_sa)
@@ -455,18 +460,11 @@ def _run_sweep(cls_cfg: lsw_classical.ClassicalRunConfig,
         t_snap, cbar = snapshots[0]
         dist, table = tail_distance(solver, cbar, cls_solver, big_t, probes)
         l_eps = np.interp(cls_series.times, series.times, series.column("L"))
-        l_gap = float(np.max(np.abs(
-            l_eps[cls_series.times <= big_t]
-            - cls_series.column("L")[cls_series.times <= big_t]
-        )))
+        before = cls_series.times <= big_t
+        l_gap = float(np.max(np.abs(l_eps[before] - cls_series.column("L")[before])))
         rate_eps, _ = diagnostics.coarsening_rate(series, big_t)
-        per_eps.append({
-            "eps": run_cfg.eps,
-            "tail_distance": dist,
-            "L_gap_max": l_gap,
-            "rate_gap": abs(rate_eps - rate_cls_sa),
-            "probe_table": table,
-        })
+        per_eps.append({"eps": run_cfg.eps, "tail_distance": dist, "L_gap_max": l_gap,
+                        "rate_gap": abs(rate_eps - rate_cls_sa), "probe_table": table})
         _write_snapshot(out_dir, f"density_eps{run_cfg.eps}.csv", "t,x_center,c", t_snap,
                         solver.grid.centers, cbar)
 
@@ -504,43 +502,41 @@ def _payoff(spec):
                       f"got {reprlib.repr(spec)}")
 
 
-def _parse_mc(cfg: dict, seed: int, refine: bool):
-    eps = _get(cfg, "eps", float, 0.25, check=_positive)
-    big_t = _get(cfg, "T", float, 0.25, check=_positive)
-    n_cells = _get(cfg, "n_cells", int, 1024, check=_at_least(2))
-    mc_cfg = sde.McConfig(
-        eps=eps,
-        history=_get(cfg, "L", float, 1.0,
-                     check=lambda v: diagnostics.LHistory.constant(v, big_t)),
-        T=big_t,
-        n_paths=_get(cfg, "n_paths", int, 200_000, check=_at_least(1)),
-        dt=_get(cfg, "dt", float, 1e-3, check=_positive),
-        seed=seed,
-    )
-    payoff = _get(cfg, "payoff", (str, list), "one", check=_payoff)
-    x_max, grid = _get(cfg, "x_max", float, 30.0,
-                       check=lambda v: (v, lsw_diffusive.Grid.log_graded(eps, v, n_cells)))
+_MC = {
+    "eps": (float, 0.25, _positive),
+    "T": (float, 0.25, _positive),
+    "n_cells": (int, 1024, _at_least(2)),
+    "L": (float, 1.0),
+    "n_paths": (int, 200_000, _at_least(1)),
+    "dt": (float, 1e-3, _positive),
+    "payoff": ((str, list), "one", _payoff),
+    "x_max": (float, 30.0),
+    "probes": (list[float], (0.25, 0.5, 1.0, 1.5, 2.5)),
+    "grid_tol": (float, 2e-3, _at_least(0.0)),
+}
 
-    def probes(values: list) -> list:
-        # a path started at 0 is absorbed at once, and past x_max the adjoint
-        # value is the last cell's: neither compares the two methods
-        _require(len(values) > 0, "need at least one probe")
-        return _items(float, check=lambda x0: _require(
-            0.0 < x0 < x_max, f"must lie in (0, x_max = {x_max!r}), got {x0!r}"))(values)
 
-    starts = _get(cfg, "probes", list, [0.25, 0.5, 1.0, 1.5, 2.5], check=probes)
+def _parse_mc(values: dict, refine: bool):
+    eps, big_t, x_max, seed = values["eps"], values["T"], values["x_max"], values["seed"]
+    mc_cfg = sde.McConfig(eps=eps, T=big_t, n_paths=values["n_paths"], dt=values["dt"],
+                          seed=seed, history=_get(values, "L", float, check=lambda v: (
+                              diagnostics.LHistory.constant(v, big_t))))
+    grid = _get(values, "x_max", float, check=lambda v: lsw_diffusive.Grid.log_graded(
+        eps, v, values["n_cells"]))
+    # a path started at 0 is absorbed at once, and past x_max the adjoint
+    # value is the last cell's: neither compares the two methods
+    starts = values["probes"]
+    _require(len(starts) > 0 and all(0.0 < x0 < x_max for x0 in starts),
+             f"probes: need at least one, each in (0, x_max = {x_max!r}), got {starts!r}")
     # probe i draws from the Philox key seed + i, which must stay below 2**128
     _require(seed + len(starts) <= 2**128,
              f"seed: the last probe's Philox key {seed + len(starts) - 1} reaches 2**128")
-    return functools.partial(
-        _run_mc, mc_cfg, payoff, starts, grid,
-        _get(cfg, "grid_tol", float, 2e-3, check=_at_least(0.0)),
-    )
+    return functools.partial(_run_mc, mc_cfg, values["payoff"], starts, grid,
+                             values["grid_tol"])
 
 
-def _run_mc(mc_cfg: sde.McConfig, payoff, probes: list[float],
-            grid: lsw_diffusive.Grid, grid_tol: float,
-            out_dir: str) -> Outcome:
+def _run_mc(mc_cfg: sde.McConfig, payoff, probes: list[float], grid: lsw_diffusive.Grid,
+            grid_tol: float, out_dir: str) -> Outcome:
     w_pde = lsw_diffusive.adjoint_solve(
         sde.payoff_function(payoff), mc_cfg.T, mc_cfg.history, mc_cfg.eps, grid)
     records = []
@@ -560,32 +556,37 @@ def _run_mc(mc_cfg: sde.McConfig, payoff, probes: list[float],
             "within_band": ok,
         })
     _write_json(os.path.join(out_dir, "mc_estimates.json"), records)
-    checks = [
-        _check("mc_vs_adjoint", agree >= max(1, len(probes) - 1),
-               agree=agree, total=len(probes)),
-    ]
-    return checks, {"records": records}
+    return [_check("mc_vs_adjoint", agree >= max(1, len(probes) - 1), agree=agree,
+                   total=len(probes))], {"records": records}
 
 
 # ---------------------------------------------------------------------------
 # duality experiment
 
 
-def _parse_duality(cfg: dict, seed: int, refine: bool):
-    n_cells = _get(cfg, "n_cells", int, 2048)
+# the diffusive fields a duality run does not fix: the adjoint is the
+# transpose of the unlimited operator, and the forward run ends at T
+_DUALITY = {
+    "initial": _INITIAL,
+    **_table(lsw_diffusive.DiffusiveRunConfig, "t_end", "output_stride", "snapshot_times",
+             "limiter"),
+    "eps": (float, 0.25),
+    "n_cells": (int, 2048),
     # T is the forward run's t_end; name T if it is too short for a step
-    big_t = _get(cfg, "T", float, 0.5, check=lambda v: _require(
+    "T": (float, 0.5, lambda v: _require(
         v > lsw_diffusive._T_SLACK,
-        f"must exceed {lsw_diffusive._T_SLACK:g}, or the run takes no step, got {v!r}"))
-    base = {"eps": 0.25, "limiter": False, **cfg, "t_end": big_t,
-            "output_stride": big_t, "snapshot_times": []}
-    runs = [_diffusive_config({**base, "n_cells": n})
+        f"must exceed {lsw_diffusive._T_SLACK:g}, or the run takes no step, got {v!r}")),
+    "tolerance": (float, 1e-4, _positive),
+    "indicator_x0": (float, 1.0),
+}
+
+
+def _parse_duality(values: dict, refine: bool):
+    big_t, n_cells, tail = values["T"], values["n_cells"], _tail(values)
+    runs = [_diffusive_config(values, tail, t_end=big_t, output_stride=big_t, limiter=False,
+                              n_cells=n)
             for n in ((n_cells, 2 * n_cells) if refine else (n_cells,))]
-    return functools.partial(
-        _run_duality, runs,
-        _get(cfg, "tolerance", float, 1e-4, check=_positive),
-        _get(cfg, "indicator_x0", float, 1.0),
-    )
+    return functools.partial(_run_duality, runs, values["tolerance"], values["indicator_x0"])
 
 
 def _duality_residuals(run_cfg: lsw_diffusive.DiffusiveRunConfig, x0_ind: float) -> dict:
@@ -619,15 +620,10 @@ def _run_duality(runs: list[lsw_diffusive.DiffusiveRunConfig], tol: float,
     summary = {"n_cells": runs[0].n_cells, "residuals": base}
     if len(runs) > 1:
         fine = _duality_residuals(runs[1], x0_ind)
-        ratios = {
-            name: fine[name]["residual"] / max(base[name]["residual"], 1e-300)
-            for name in base
-        }
-        checks.append(_check(
-            "duality_residual_halving",
-            0.35 <= ratios["one"] <= 0.65,
-            ratios=ratios,
-        ))
+        ratios = {name: fine[name]["residual"] / max(base[name]["residual"], 1e-300)
+                  for name in base}
+        checks.append(_check("duality_residual_halving", 0.35 <= ratios["one"] <= 0.65,
+                             ratios=ratios))
         summary["refined_residuals"] = fine
         summary["refinement_ratios"] = ratios
     return checks, summary
@@ -636,50 +632,53 @@ def _run_duality(runs: list[lsw_diffusive.DiffusiveRunConfig], tol: float,
 # ---------------------------------------------------------------------------
 # entry point
 
-# kind -> parser(config, seed, refine) returning the run, a callable of out_dir
+# kind -> (its field table, its parser(values, refine) returning the run, a
+# callable of out_dir); the parser may fill in derived values
 KINDS = {
-    "bd": _parse_bd,
-    "classical": _parse_classical,
-    "diffusive": _parse_diffusive,
-    "sweep": _parse_sweep,
-    "mc-check": _parse_mc,
-    "duality": _parse_duality,
+    "bd": (_BD, _parse_bd),
+    "classical": (_CLASSICAL, _parse_classical),
+    "diffusive": (_DIFFUSIVE, _parse_diffusive),
+    "sweep": (_SWEEP, _parse_sweep),
+    "mc-check": (_MC, _parse_mc),
+    "duality": (_DUALITY, _parse_duality),
 }
+
+
+def parse_config(config: dict, seed: int | None = None, refine: bool = False):
+    """(effective config, run) of ``config``; the run is a callable of out_dir.
+
+    ``seed``, if given, replaces the config's.  Raises ConfigError.
+    """
+    _require(isinstance(config, dict), "config must be a JSON object")
+    table, parse = KINDS[_get(config, "kind", str, check=_one_of(*KINDS))]
+    values = _read(config if seed is None else {**config, "seed": seed},
+                   {"kind": (str,), "seed": (int, 0, _at_least(0)), **table})
+    return values, parse(values, refine)
 
 
 def run_experiment(config: dict, out_dir: str, seed: int | None = None,
                    refine: bool = False) -> int:
     """Parse, run and check one experiment; returns the process exit code."""
     try:
-        _require(isinstance(config, dict), "config must be a JSON object")
-        kind = _get(config, "kind", str, check=_one_of(*KINDS))
-        seed_val = _get(config if seed is None else {"seed": seed}, "seed", int, 0,
-                        check=_at_least(0))
-        run = KINDS[kind](config, seed_val, refine)
+        values, run = parse_config(config, seed, refine)
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 2
 
     os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "config.json"), {**config, "seed": seed_val})
+    _write_json(os.path.join(out_dir, "config.json"), values)
+    summary = {"kind": values["kind"], "seed": values["seed"]}
     try:
         checks, details = run(out_dir)
     except Exception as exc:
         traceback.print_exc()  # to stderr; stdout and summary.json get the short form
         error = {"type": type(exc).__name__, "message": str(exc)}
         print(f"solver failure: {error['type']}: {error['message']}")
-        _write_json(os.path.join(out_dir, "summary.json"),
-                    {"kind": kind, "seed": seed_val, "error": error})
+        _write_json(os.path.join(out_dir, "summary.json"), {**summary, "error": error})
         return 3
 
     all_passed = all(c["passed"] for c in checks)
-    summary = {
-        "kind": kind,
-        "seed": seed_val,
-        "checks": checks,
-        "all_passed": all_passed,
-        "details": details,
-    }
+    summary.update(checks=checks, all_passed=all_passed, details=details)
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"

@@ -21,7 +21,6 @@ __all__ = [
     "compact_bump",
     "tabulated",
     "dilated",
-    "from_spec",
     "cell_averages",
 ]
 
@@ -136,18 +135,6 @@ def dilated(tail: InitialTail, lam: float) -> InitialTail:
     return InitialTail(
         c0=c0, w0=w0, x_max=tail.x_max / lam, label=f"{tail.label}/dilated{lam}"
     )
-
-
-def from_spec(spec: dict) -> InitialTail:
-    """Build a profile from a config mapping with a ``kind`` field."""
-    kind = spec.get("kind")
-    if kind == "exponential-moment":
-        return exponential_moment()
-    if kind == "compact-bump":
-        return compact_bump(float(spec["a"]), float(spec["b"]))
-    if kind == "table":
-        return tabulated(np.asarray(spec["x"]), np.asarray(spec["c"]))
-    raise ValueError(f"unknown initial data kind: {kind!r}")
 
 
 def cell_averages(tail: InitialTail, edges: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import gc
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -181,11 +181,13 @@ def characteristic_jacobian(x: float, t: float, history: LHistory) -> float:
 
 @dataclass
 class ClassicalRunConfig:
+    """A field with ``json`` metadata is a ``classical`` config key: its JSON type and default."""
+
     tail: InitialTail
-    t_end: float
-    dt: float = 0.0125
-    panels: int = 24
-    nodes_per_panel: int = 8
+    t_end: float = field(default=1.0, metadata={"json": float})
+    dt: float = field(default=0.0125, metadata={"json": float})
+    panels: int = field(default=24, metadata={"json": int})
+    nodes_per_panel: int = field(default=8, metadata={"json": int})
 
     def validate(self) -> None:
         if self.t_end <= 0 or self.dt <= 0:

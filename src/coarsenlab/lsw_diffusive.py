@@ -264,15 +264,24 @@ def determine_L(
 
 @dataclass
 class DiffusiveRunConfig:
+    """A field with ``json`` metadata is a ``diffusive`` config key: its JSON type and default."""
+
     tail: InitialTail
-    eps: float
-    t_end: float
-    x_max: float | None = None  # default: initial support + generous growth room
-    n_cells: int = 512
-    limiter: bool = True
-    cfl: float = 0.5
-    output_stride: float = 0.1
-    snapshot_times: tuple = ()
+    eps: float = field(metadata={"json": float})
+    t_end: float = field(default=1.0, metadata={"json": float})
+    x_max: float | None = field(default=None, metadata={"json": float})  # None: see grid_x_max
+    n_cells: int = field(default=512, metadata={"json": int})
+    limiter: bool = field(default=True, metadata={"json": bool})
+    cfl: float = field(default=0.5, metadata={"json": float})
+    output_stride: float = field(default=0.1, metadata={"json": float})
+    snapshot_times: tuple = field(default=(), metadata={"json": list[float]})
+
+    @property
+    def grid_x_max(self) -> float:
+        """The grid's right end: ``x_max``, by default the initial support plus growth room."""
+        if self.x_max is not None:
+            return self.x_max
+        return self.tail.x_max + 4.0 * (1.0 + self.t_end)
 
     def validate(self) -> None:
         if self.eps <= 0 or self.eps > 1:
@@ -297,10 +306,7 @@ class DiffusiveSolver:
     def __init__(self, config: DiffusiveRunConfig):
         config.validate()
         self.config = config
-        x_max = config.x_max
-        if x_max is None:
-            x_max = config.tail.x_max + 4.0 * (1.0 + config.t_end)
-        self.grid = Grid.log_graded(config.eps, x_max, config.n_cells)
+        self.grid = Grid.log_graded(config.eps, config.grid_x_max, config.n_cells)
         self.ops = _Operators(self.grid, config.eps)
         self.cbar = cell_averages(config.tail, self.grid.edges)
         self.t = 0.0
@@ -418,7 +424,7 @@ def adjoint_solve(
     dt = T / n_steps
     # the step from t_new + dt back to t_new uses L(t_new)
     t_new = np.maximum(T - np.arange(1, n_steps + 1) * dt, history.times[0])
-    for L in history.value(t_new).tolist():
+    for L in history.value(t_new):
         w = solve_banded(shifted(dt, ops.adjoint_bands(L)), w)
     return w
 

@@ -2,15 +2,18 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from coarsenlab import cli, initial_data, lsw_diffusive
-from coarsenlab.harness import KINDS, run_experiment, tail_quantile_probes
+from coarsenlab import cli, harness, initial_data, lsw_diffusive
+from coarsenlab.harness import KINDS, parse_config, run_experiment, tail_quantile_probes
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def _read_header(path):
@@ -37,8 +40,19 @@ class TestTailProbes:
 
 
 # Malformed configs with one fault each: every one must exit 2 and name the
-# faulty field (seed is read for every kind).
+# faulty field, or each of the faulty fields (seed is read for every kind).
 CONFIG_FAULTS = [
+    # keys outside the kind's table, nested objects included
+    ("classical", {"t_end": 0.05, "t_ned": 9, "dtt": 0.5}, ("t_ned", "dtt")),
+    ("classical", {"initial": {"kind": "compact-bump", "a": 0.5, "b": 1.5, "width": 1.0}},
+     "width"),
+    ("bd", {"model": {"a1": 1.0, "zs": 1.0}, "initial": {"kind": "equilibrium"}}, "zs"),
+    # a sweep sets eps and dt of its runs itself; a duality run fixes t_end and
+    # the limiter
+    ("sweep", {"eps": 0.3, "dt": 0.5}, ("eps", "dt")),
+    ("duality", {"limiter": True}, "limiter"),
+    ("duality", {"t_end": 1}, "t_end"),
+    ("classical", {"initial": {"kind": "nope"}}, "initial"),
     ("diffusive", {}, "eps"),
     ("diffusive", {"eps": 0.2, "n_cells": "abc"}, "n_cells"),
     ("diffusive", {"eps": 0.2, "x_max": 0.05}, "x_max"),
@@ -106,7 +120,8 @@ class TestConfigErrors:
     def test_exits_2_naming_the_field(self, kind, fields, field, tmp_path, capsys):
         assert run_experiment({"kind": kind, **fields}, str(tmp_path)) == 2
         out = capsys.readouterr().out
-        assert out.startswith("config error:") and field in out
+        assert out.startswith("config error:")
+        assert all(name in out for name in ((field,) if isinstance(field, str) else field))
         assert not os.listdir(tmp_path)  # nothing runs, nothing is written
 
     def test_negative_seed_argument_exits_2(self, tmp_path, capsys):
@@ -117,7 +132,7 @@ class TestConfigErrors:
 
     def test_largest_philox_key_is_accepted(self):
         valid = {"kind": "mc-check", **TINY["mc-check"][0]}  # one probe
-        KINDS["mc-check"](valid, 2**128 - 1, False)
+        parse_config(valid, seed=2**128 - 1)
 
     def test_cli_negative_seed_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -196,7 +211,7 @@ class TestConfigProperties:
     @pytest.mark.parametrize("kind", list(TINY))
     def test_tiny_configs_are_valid(self, kind):
         # the mutations below start from configs that pass parsing
-        KINDS[kind]({"kind": kind, **TINY[kind][0]}, 0, False)
+        parse_config({"kind": kind, **TINY[kind][0]})
 
     @pytest.mark.parametrize("kind", list(TINY))
     @given(data=st.data())
@@ -207,6 +222,75 @@ class TestConfigProperties:
             code = run_experiment(cfg, tmp)
         assert code == 2, (cfg, out.getvalue())
         assert field in out.getvalue()
+
+
+_UNKNOWN_KEYS = st.from_regex(r"[a-z][a-z0-9_]{0,11}", fullmatch=True)
+
+
+class TestEffectiveConfig:
+    @pytest.mark.parametrize("kind", list(TINY))
+    def test_rerun_from_config_json(self, kind, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        code = run_experiment({"kind": kind, **TINY[kind][0]}, str(first))
+        recorded = json.load(open(first / "config.json"))
+        assert set(recorded) == {"kind", "seed", *KINDS[kind][0]}
+        assert run_experiment(recorded, str(second)) == code
+        assert _tree_bytes(first) == _tree_bytes(second)
+
+    def test_records_defaults(self):
+        values, _ = parse_config({"kind": "classical", "t_end": 0.1})
+        assert values == {"kind": "classical", "seed": 0,
+                          "initial": {"kind": "exponential-moment"},
+                          "t_end": 0.1, "dt": 0.0125, "panels": 24, "nodes_per_panel": 8}
+
+    def test_records_derived_values(self):
+        values, _ = parse_config({"kind": "diffusive", "eps": 0.5, "n_cells": 16})
+        assert values["x_max"] == 45.0 + 4.0 * (1.0 + 1.0)  # exponential data, t_end 1
+        values, run = parse_config({"kind": "bd", "closure": {"type": "full"}, "ell_max": 100,
+                                    "initial": {"kind": "equilibrium"}})
+        assert values["initial"]["c1"] == 0.9
+        assert values["closure"]["rho"] == run.args[0].closure.rho > 0
+
+    @pytest.mark.parametrize("initial, label", [
+        ({"kind": "exponential-moment"}, "exponential-moment"),
+        ({"kind": "compact-bump", "a": 1, "b": 2}, "compact-bump[1.0,2.0]"),
+    ])
+    def test_initial_data_kinds(self, initial, label):
+        values, run = parse_config({"kind": "classical", "initial": initial})
+        assert run.args[0].tail.label == label
+        assert values["initial"] == {key: value if key == "kind" else float(value)
+                                     for key, value in initial.items()}
+
+    @pytest.mark.parametrize("kind", list(TINY))
+    @given(key=_UNKNOWN_KEYS, value=_JSON_VALUES)
+    def test_unknown_key_exits_2(self, kind, key, value):
+        assume(key not in ("kind", "seed", *KINDS[kind][0]))
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+            target = os.path.join(tmp, "out")
+            code = run_experiment({"kind": kind, **TINY[kind][0], key: value}, target)
+            written = os.path.exists(target)
+        assert code == 2 and not written
+        assert out.getvalue().startswith("config error: unknown key") and repr(key) in out.getvalue()
+
+    def test_readme_field_tables(self):
+        # README.md holds one table per kind, "| `field` | JSON type | default |"
+        def default(entry):
+            if len(entry) < 2 or entry[1] is harness._REQUIRED:
+                return "required"
+            return "derived" if entry[1] is None else f"`{json.dumps(entry[1])}`"
+
+        text = open(README).read()
+        documented = {
+            kind: [tuple(cell.strip() for cell in row.split("|")[1:4])
+                   for row in body.splitlines()[2:]]
+            for kind, body in re.findall(r"^#### `([a-z-]+)` fields\n\n((?:\|.*\n)+)", text, re.M)
+        }
+        assert documented == {
+            kind: [(f"`{key}`", harness._TYPE_NAMES[entry[0]], default(entry))
+                   for key, entry in table.items()]
+            for kind, (table, _) in KINDS.items()
+        }
 
 
 class TestSolverFailure:

@@ -78,15 +78,6 @@ class TestDilated:
         assert mass == pytest.approx(1.0, abs=1e-10)
 
 
-class TestFromSpec:
-    def test_kinds(self):
-        assert initial_data.from_spec({"kind": "exponential-moment"}).label == "exponential-moment"
-        assert "compact-bump" in initial_data.from_spec(
-            {"kind": "compact-bump", "a": 1, "b": 2}).label
-        with pytest.raises(ValueError):
-            initial_data.from_spec({"kind": "nope"})
-
-
 class TestCellAverages:
     def test_normalized_mass(self):
         tail = initial_data.exponential_moment()

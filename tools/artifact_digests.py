@@ -7,8 +7,11 @@ directory; it imports ``coarsenlab`` from this checkout's
 ``src/`` and the benchmark workloads from ``bench/workloads.py``.  Each
 config runs through ``harness.run_experiment`` into a temporary directory,
 and one line is printed per config: its name, the exit code, the number of
-files written and the digest, the first 16 hex digits of the sha256 over the
-lines ``<relative path> <file sha256>`` sorted by path, followed by the
+files written and two digests, each the first 16 hex digits of the sha256
+over the lines ``<relative path> <file sha256>`` sorted by path, the first
+over every file and the second over every file except ``config.json`` (so a
+change that rewrites only the recorded config moves the first alone),
+followed by the
 ``summary.json`` scalars the benchmark gates (``L_end``, ``Lambda_end``, the
 duality residuals, the Monte Carlo check's adjoint values ``pde``) and the
 sweep's two classical rates
@@ -56,8 +59,13 @@ CONFIGS = [
 ]
 
 
-def tree_digest(root: str) -> tuple[int, str]:
-    """(file count, digest) of every file under ``root``."""
+def _digest(lines: list[str]) -> str:
+    text = "\n".join(sorted(lines)) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def tree_digest(root: str) -> tuple[int, str, str]:
+    """(file count, digest, digest without ``config.json``) of the files under ``root``."""
     lines = []
     for dirpath, _, files in os.walk(root):
         for name in files:
@@ -65,8 +73,8 @@ def tree_digest(root: str) -> tuple[int, str]:
             with open(path, "rb") as fh:
                 lines.append(f"{os.path.relpath(path, root)} "
                              f"{hashlib.sha256(fh.read()).hexdigest()}")
-    text = "\n".join(sorted(lines)) + "\n"
-    return len(lines), hashlib.sha256(text.encode()).hexdigest()[:16]
+    rest = [line for line in lines if not line.startswith("config.json ")]
+    return len(lines), _digest(lines), _digest(rest)
 
 
 def gated_scalars(out: str) -> str:
@@ -97,9 +105,10 @@ def main(names: list[str]) -> int:
         with tempfile.TemporaryDirectory() as out:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = run_experiment(dict(config), out, seed=seed, refine=refine)
-            files, digest = tree_digest(out)
+            files, digest, digest_rest = tree_digest(out)
             scalars = gated_scalars(out)
-        print(f"{name:<34} exit {code}  files {files:>4}  {digest}{scalars}", flush=True)
+        print(f"{name:<34} exit {code}  files {files:>4}  {digest} {digest_rest}{scalars}",
+              flush=True)
     return 0
 
 

@@ -12,6 +12,7 @@ root-find through those names.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -58,9 +59,11 @@ def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     This is LAPACK's ``dgtsv``, the routine ``scipy.linalg.solve_banded((1, 1),
     ab, b)`` calls, so the results are identical; only scipy's generic input
     handling is skipped.  Its checks stay: ValueError when ``ab`` or ``b``
-    holds a non-finite value, LinAlgError when A is singular.
+    holds a non-finite value (screened by one sum, and entry by entry only if
+    that sum is not finite), LinAlgError when A is singular.
     """
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+    if not math.isfinite(np.add.reduce(ab, None) + np.add.reduce(b, None)) and not (
+            np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     if ab.shape[1] == 1:  # the wrapper of dgtsv takes no empty off-diagonals
         if ab[1, 0] == 0.0:

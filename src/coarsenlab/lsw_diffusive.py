@@ -424,8 +424,11 @@ def adjoint_solve(
     dt = T / n_steps
     # the step from t_new + dt back to t_new uses L(t_new)
     t_new = np.maximum(T - np.arange(1, n_steps + 1) * dt, history.times[0])
+    L_built = None
     for L in history.value(t_new):
-        w = solve_banded(shifted(dt, ops.adjoint_bands(L)), w)
+        if L != L_built:  # a constant L builds its operator once
+            lhs, L_built = shifted(dt, ops.adjoint_bands(L)), L
+        w = solve_banded(lhs, w)
     return w
 
 

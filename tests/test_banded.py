@@ -88,11 +88,36 @@ class TestSolve:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["ab", "b"])
     def test_rejects_non_finite_input(self, value, where):
-        ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
-        b = np.ones(3)
-        (ab[1] if where == "ab" else b)[1] = value
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            solve_banded(ab, b)
+        # in any entry, the unused corners of ab and a 2-D b too; at scale
+        # 2.5e307 the finite entries alone already sum past the largest float
+        for scale in (1.0, 2.5e307):
+            for shape in ((3,), (3, 2)):
+                ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]]) * scale
+                b = np.ones(shape) * scale
+                target = ab if where == "ab" else b
+                for index in np.ndindex(target.shape):
+                    saved, target[index] = target[index], value
+                    with np.errstate(over="ignore", invalid="ignore"), \
+                            pytest.raises(ValueError, match="infs or NaNs"):
+                        solve_banded(ab, b)
+                    target[index] = saved
+
+    @pytest.mark.parametrize("big", ["ab", "b", "both", "opposite"])
+    @pytest.mark.parametrize("columns", [None, 2])
+    def test_finite_entries_whose_sum_overflows_still_solve(self, big, columns):
+        ab = np.array([[0.0, 1.0, -1.0, 1.0], [4.0, 4.0, -4.0, 4.0], [1.0, 1.0, 1.0, 0.0]])
+        b = np.array([1.0, -2.0, 3.0, 1.0])
+        if big in ("ab", "both", "opposite"):
+            ab *= 1e308 / 4.0  # the diagonal sums to 2e308
+        if big in ("b", "both", "opposite"):
+            b = np.array([1e308, 1e308, -0.5e308, 1e308]) * (-1.0 if big == "opposite" else 1.0)
+        if columns:
+            b = np.column_stack([b] * columns)
+        with np.errstate(over="ignore", invalid="ignore"):  # the screen overflows
+            assert not np.isfinite(ab.sum() + b.sum())
+            x = solve_banded(ab, b)
+        assert np.isfinite(x).all()
+        assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
 
     @pytest.mark.parametrize("ab", [
         [[0.0, 0.0, 1.0], [0.0, 2.0, 3.0], [0.0, 1.0, 0.0]],  # a zero first column

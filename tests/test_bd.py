@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coarsenlab import bd
+from coarsenlab.banded import matvec, shifted, solve_banded
 from coarsenlab.rates import RateModel, equilibrium_table
 
 MODEL = RateModel(1, 1, 1)
@@ -171,7 +175,55 @@ class TestSemiImplicitStep:
         monkeypatch.setattr(bd, "solve_banded", counted)
         c_new, c1 = bd._step_semi_implicit(c, 0.05, MODEL, closure, tri, ells)
         assert len(solves) == len(set(trials))
-        assert np.array_equal(c_new, tri.trapezoid(c, 0.05, c1))
+        assert np.array_equal(c_new, tri.trapezoid(c, 0.05)(c1))
+
+    @given(st.integers(2, 40).flatmap(lambda n: arrays(float, n, elements=st.floats(0.0, 1.0))),
+           st.floats(1e-3, 1.0), st.floats(0.05, 3.0), st.booleans(),
+           st.tuples(*[st.floats(0.5, 2.0)] * 3))
+    def test_trial_solve_matches_whole_operator(self, c, dt, c1, full, coefficients):
+        model = RateModel(*coefficients)
+        tri = bd._Tridiag(model, len(c) + 1, full)
+        expected = _trapezoid_reference(model, c, dt, c1, full)
+        tol = 1e-13 * max(float(np.max(np.abs(expected))), 1e-300)
+        np.testing.assert_allclose(tri.trapezoid(c, dt)(c1), expected, rtol=0.0, atol=tol)
+
+    def test_bracket_widens_when_the_root_lies_outside_its_start(self, monkeypatch):
+        # the first step of the band data moves c1 - z_s by 0.5% from the guess
+        c = coarsening_data(ell_max=100)[1:]
+        ells = np.arange(2, 101, dtype=float)
+        excess = bd.monomer_closure_dirichlet(c, MODEL) - MODEL.z_s
+        brackets = []
+
+        def recording(f, lo, hi, **kwargs):
+            brackets.append(((lo, hi), bracket(f, lo, hi, **kwargs)))
+            return brackets[-1][1]
+
+        bracket = bd.bracket
+        monkeypatch.setattr(bd, "bracket", recording)
+        tri = bd._Tridiag(MODEL, 100, full=False)
+        c_new, c1 = bd._step_semi_implicit(c, 0.05, MODEL, bd.DirichletClosure(), tri, ells)
+        [(start, found)] = brackets
+        assert not start[0] <= c1 <= start[1]
+        assert found[0] <= c1 <= found[1] and found != start
+        assert (c1 - MODEL.z_s) / excess < 1.0 - bd._GUESS_SPREAD
+        assert abs(float(ells @ c_new) - float(ells @ c)) <= 1e-14
+
+
+def _trapezoid_reference(model, c, dt, c1, full):
+    """The trapezoid step with A(c1) and r(c1) assembled whole for one c1:
+    (I - h A) c_new = (I + h A) c + dt r, h = dt/2."""
+    ells = np.arange(2, len(c) + 2, dtype=float)
+    a, b, a_prev = model.attach(ells), model.detach(ells), model.attach(ells - 1)
+    op = np.zeros((3, len(c)))
+    op[0, 1:] = b[1:]
+    op[1] = -(b + a * c1)
+    op[1, -1] = -b[-1]  # zero flux out of the top bin
+    op[2, :-1] = a_prev[1:] * c1
+    r = np.zeros(len(c))
+    if full:
+        r[0] = model.a1 * c1 * c1
+    h = 0.5 * dt
+    return solve_banded(shifted(h, op), matvec(shifted(-h, op), c) + dt * r)
 
 
 class TestErrorControl:
@@ -247,6 +299,11 @@ class TestErrorControl:
         assert not histories[0] and histories == sorted(histories)
         assert histories[-1]
         assert len(solves) == sum(trials_per_attempt)
+        if isinstance(closure, bd.DirichletClosure):
+            # 4.13 solves a root-find, from a bracket started 1e-3 either side
+            # of the flux-balance guess; the ceiling leaves 4% headroom (a
+            # start at x0.25 and x4 of the guess's distance to z_s takes 4.95)
+            assert len(solves) <= 4.3 * len(rootfinds)
 
 
 class TestRun:

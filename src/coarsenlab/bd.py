@@ -21,8 +21,9 @@ trial once, however often the root-find asks for it, and commits the solve at
 the root.  The step size is controlled by Milne's device: a quadratic
 predictor through the previous accepted state, the current one and the slope
 there gives the trapezoid's local error from the one step each attempt takes,
-so an attempt costs one root-find.  An adaptive explicit integrator is
-available as a cross-check.
+so an attempt costs one root-find.  ``diagnostics.march`` clips the steps to
+the output times and aborts on mass drift.  An adaptive explicit integrator
+is available as a cross-check.
 
 The model functions work on plain arrays.  ``bd_rhs`` takes the densities
 c_ell for ell = 1..ell_max, whose first entry is the monomer slot; the monomer
@@ -40,7 +41,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .banded import bracket, matvec, shifted, solve_banded
-from .diagnostics import TrajectorySeries, moments, output_times
+from .diagnostics import (TrajectorySeries, check_window, clip_negatives, march, moments,
+                          output_times)
 from .rates import RateModel
 
 __all__ = [
@@ -58,8 +60,6 @@ __all__ = [
 
 _RTOL = 1e-9  # local error tolerance of the semi-implicit stepper
 _ATOL = 1e-12
-_T_SLACK = 1e-14  # the run stops once t is this close to t_end
-_MASS_TOL = 1e-8  # relative mass drift that aborts a run
 # The Dirichlet bracket starts this far, relative to c1 - z_s, either side of
 # the flux-balance guess; on the benchmark's Dirichlet run (ell_max 600, t_end
 # 50) the root's (c1 - z_s)/(guess - z_s) lies in [0.99986, 0.9999997] over
@@ -68,7 +68,7 @@ _GUESS_SPREAD = 1e-3
 
 
 class BdRunError(RuntimeError):
-    """Integration failure: step underflow, mass drift, or truncation overflow."""
+    """Step-size underflow or truncation overflow; mass drift raises RuntimeError in ``march``."""
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,9 @@ class BdRunConfig:
                 )
         if self.scheme not in ("semi-implicit", "explicit-adaptive"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.t_end <= _T_SLACK:
-            raise ValueError(f"t_end must exceed {_T_SLACK:g}, or the run takes no step")
-        if self.dt_init <= 0 or self.output_stride <= 0:
-            raise ValueError("dt_init and output_stride must be positive")
+        check_window(self.t_end, self.output_stride)
+        if self.dt_init <= 0:
+            raise ValueError("dt_init must be positive")
 
 
 def monomer_closure_full(c: np.ndarray, rho: float) -> float:
@@ -224,9 +223,11 @@ def _step_semi_implicit(
     closure: FullClosure | DirichletClosure,
     tri: _Tridiag,
     ells: np.ndarray,
+    c1_now: float,
 ) -> tuple[np.ndarray, float]:
     """One trapezoidal step; the monomer density is fixed by a root-find.
 
+    The Dirichlet bracket starts around ``c1_now``, the closure's at ``c``.
     Each trial ``c1`` is solved once: brentq evaluates the bracket's ends
     again, and the committed state is the solve at the root it returns.
     """
@@ -248,7 +249,7 @@ def _step_semi_implicit(
 
         c1 = brentq(defect, 0.0, rho, xtol=1e-15, rtol=8.9e-16)
     else:
-        excess = monomer_closure_dirichlet(c, model) - model.z_s
+        excess = c1_now - model.z_s
         mass0 = float(ells @ c)
 
         def defect(c1: float) -> float:
@@ -285,20 +286,6 @@ def _local_error(c: np.ndarray, c_new: np.ndarray, slope: np.ndarray, h: float,
     return (c_new - pred) * (h / (3.0 * h + 2.0 * tau))
 
 
-_NEG_CLIP = 1e-12
-
-
-def _commit(c: np.ndarray, neg_log: list[float]) -> np.ndarray | None:
-    """Clip rounding-level negatives; reject the step for anything larger."""
-    m = float(c.min())
-    if m < -_NEG_CLIP:
-        return None
-    if m < 0.0:
-        neg_log.append(m)
-        c = np.maximum(c, 0.0)
-    return c
-
-
 def truncation_bound(mass: float, ell_max: int) -> float:
     """Largest density at ``ell_max`` a run accepts: above it, clusters pile
     up at the cutoff and the truncation no longer stands for the infinite
@@ -310,71 +297,61 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
     """Integrate to t_end; returns the diagnostic series and state snapshots.
 
     Snapshots are (t, c) pairs with c indexed ell = 1..ell_max, taken at the
-    output stride.  Aborts (BdRunError) on mass drift beyond ``_MASS_TOL``,
-    step-size underflow, or density piling up at the truncation cutoff.
+    ``output_times`` by ``march``, which raises RuntimeError on mass drift.
+    Aborts (BdRunError) on step-size underflow or density at the cutoff.
     """
     config.validate()
-    model = config.model
-    full = isinstance(config.closure, FullClosure)
+    model, closure = config.model, config.closure
+    full = isinstance(closure, FullClosure)
     gamma = np.asarray(config.initial, dtype=float)
     ell_max = len(gamma)
     ells = np.arange(2, ell_max + 1, dtype=float)
 
     out_times = output_times(config.t_end, config.output_stride)
+    rows, snapshots = [], []
+
+    def record(t: float, c: np.ndarray) -> None:
+        rows.append(_row(t, c, config, ells))
+        # the snapshot's monomer slot holds the full closure's c1; the Dirichlet state has none
+        snapshots.append((t, np.concatenate(([rows[-1]["c1"] if full else 0.0], c))))
 
     if config.scheme == "explicit-adaptive":
-        return _run_explicit(config, gamma, out_times)
+        for t, state in _run_explicit(config, gamma, out_times):
+            record(t, state)
+        return _series(rows, config), snapshots
 
     tri = _Tridiag(model, ell_max, full)
     c = gamma[1:].copy()
-    t = 0.0
     dt = config.dt_init
     neg_log: list[float] = []
     previous = None  # (state, step) of the last accepted step
 
-    rows = [_row(t, c, config, ells)]
-    snapshots = [(0.0, _assemble(c, config))]
-    next_out = 1
-
-    mass0 = config.closure.rho if full else 1.0
-    while t < config.t_end - _T_SLACK:
-        t_target = out_times[next_out] if next_out < len(out_times) else config.t_end
-        dt_try = min(dt, t_target - t)
-        clipped = dt_try < dt
-        slope = tri.rate(c, _monomer_density(c, config))
-        accepted = False
-        while not accepted:
-            if dt_try < 1e-14:
+    def attempt(t: float, h: float, clipped: bool) -> float:
+        nonlocal c, dt, previous
+        c1 = _monomer_density(c, config)
+        slope = tri.rate(c, c1)
+        while True:
+            if h < 1e-14:
                 raise BdRunError(f"step size underflow at t = {t}")
-            c_new, _ = _step_semi_implicit(c, dt_try, model, config.closure, tri, ells)
-            est = _local_error(c, c_new, slope, dt_try, previous)
+            c_new, _ = _step_semi_implicit(c, h, model, closure, tri, ells, c1)
+            est = _local_error(c, c_new, slope, h, previous)
             scale = _ATOL + _RTOL * np.maximum(np.abs(c), np.abs(c_new))
             err = float(np.max(np.abs(est) / scale))
-            committed = _commit(c_new, neg_log) if err <= 1.0 else None
+            committed = clip_negatives(c_new, neg_log) if err <= 1.0 else None
             if committed is not None:
-                previous = (c, dt_try)
-                c = committed
-                t += dt_try
-                accepted = True
-                cand = dt_try * min(4.0, max(0.2, 0.9 * (max(err, 1e-12)) ** (-1.0 / 3.0)))
-                dt = max(cand, dt) if clipped else cand
-            else:
-                clipped = False
-                dt_try *= 0.5 if err <= 1.0 else max(0.2, 0.9 * err ** (-1.0 / 3.0))
+                break
+            clipped = False
+            h *= 0.5 if err <= 1.0 else max(0.2, 0.9 * err ** (-1.0 / 3.0))
+        previous, c = (c, h), committed
+        cand = h * min(4.0, max(0.2, 0.9 * (max(err, 1e-12)) ** (-1.0 / 3.0)))
+        dt = max(cand, dt) if clipped else cand
+        if c[-1] > truncation_bound(closure.rho if full else 1.0, ell_max):
+            raise BdRunError(f"truncation saturation: c_ell_max = {c[-1]:.3e} at "
+                             f"t = {t + h}; increase ell_max")
+        return h
 
-        mass = float(ells @ c) + (monomer_closure_full(c, config.closure.rho) if full else 0.0)
-        if abs(mass - mass0) > _MASS_TOL * max(mass0, 1.0):
-            raise BdRunError(f"mass drift {mass - mass0:.3e} at t = {t}")
-        if c[-1] > truncation_bound(mass0, ell_max):
-            raise BdRunError(
-                f"truncation saturation: c_ell_max = {c[-1]:.3e} at t = {t}; "
-                "increase ell_max"
-            )
-        if next_out < len(out_times) and t >= out_times[next_out] - 1e-12:
-            rows.append(_row(t, c, config, ells))
-            snapshots.append((t, _assemble(c, config)))
-            next_out += 1
-
+    march(out_times, lambda: dt, attempt, lambda t, _: record(t, c),
+          lambda: float(ells @ c) + (monomer_closure_full(c, closure.rho) if full else 0.0))
     return _series(rows, config), snapshots
 
 
@@ -383,13 +360,6 @@ def _monomer_density(c: np.ndarray, config: BdRunConfig) -> float:
     if isinstance(config.closure, FullClosure):
         return monomer_closure_full(c, config.closure.rho)
     return monomer_closure_dirichlet(c, config.model)
-
-
-def _assemble(c: np.ndarray, config: BdRunConfig) -> np.ndarray:
-    """Full ell = 1..ell_max density vector including the monomer slot."""
-    full = isinstance(config.closure, FullClosure)
-    c1 = monomer_closure_full(c, config.closure.rho) if full else 0.0
-    return np.concatenate(([c1], c))
 
 
 def _row(t: float, c: np.ndarray, config: BdRunConfig, ells: np.ndarray) -> dict:
@@ -412,10 +382,9 @@ def _series(rows: list[dict], config: BdRunConfig) -> TrajectorySeries:
     return TrajectorySeries.from_rows(rows, f"bd:{closure}:{config.scheme}")
 
 
-def _run_explicit(
-    config: BdRunConfig, gamma: np.ndarray, out_times: np.ndarray
-) -> tuple[TrajectorySeries, list[tuple[float, np.ndarray]]]:
-    ells = np.arange(2, len(gamma) + 1, dtype=float)
+def _run_explicit(config: BdRunConfig, gamma: np.ndarray,
+                  out_times: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """(t, c) at ``out_times``, c indexed ell = 2..ell_max, by an adaptive explicit scheme."""
 
     def rhs(t: float, c: np.ndarray) -> np.ndarray:
         return bd_rhs(np.concatenate(([0.0], c)), config.model, config.closure)[1:]
@@ -427,9 +396,4 @@ def _run_explicit(
     )
     if not sol.success:
         raise BdRunError(f"explicit integration failed: {sol.message}")
-    rows, snapshots = [], []
-    for k, t in enumerate(sol.t):
-        c = np.maximum(sol.y[:, k], 0.0)
-        rows.append(_row(t, c, config, ells))
-        snapshots.append((float(t), _assemble(c, config)))
-    return _series(rows, config), snapshots
+    return [(t, np.maximum(c, 0.0)) for t, c in zip(sol.t, sol.y.T)]

@@ -7,6 +7,7 @@ to the discrete cluster system, the classical transport solver, and the
 diffusive finite-volume solver.  :func:`write_csv` is the one CSV writer for
 every artifact.  :class:`LHistory` is the record of the transport parameter
 ``L(t)`` that the classical, diffusive and Monte Carlo solvers share.
+:func:`march` is the one run loop of the Becker-Doring and diffusive steppers.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ __all__ = [
     "moments",
     "write_csv",
     "output_times",
+    "check_window",
+    "march",
+    "clip_negatives",
     "kohn_otto_report",
     "coarsening_rate",
 ]
@@ -126,8 +130,55 @@ def write_csv(path, header: str, rows: np.ndarray) -> None:
 
 
 def output_times(t_end: float, stride: float) -> np.ndarray:
-    """Multiples of stride before t_end, then t_end; no gap is under stride/4."""
-    return np.append(np.arange(0.0, t_end - 0.25 * stride, stride), t_end)
+    """0, multiples of stride before t_end, and t_end; no gap is under stride/4 unless t_end is."""
+    return np.append(np.arange(0.0, max(t_end - 0.25 * stride, 0.5 * t_end), stride), t_end)
+
+
+T_SLACK = 1e-12  # a stop this close to t is reached; the run ends this close to its last
+MASS_TOL = 1e-8  # mass drift, relative to max(initial mass, 1), that aborts a run
+NEG_CLIP = 1e-12  # densities down to -NEG_CLIP are rounding, clipped to 0
+
+
+def check_window(t_end: float, stride: float) -> None:
+    """Raise ValueError unless a run to t_end steps and its output times lie over T_SLACK apart."""
+    if t_end <= T_SLACK:
+        raise ValueError(f"t_end must exceed {T_SLACK:g}, or the run takes no step")
+    if stride < 4.0 * T_SLACK:  # the gaps of output_times exceed stride/4
+        raise ValueError(f"output_stride must be at least {4.0 * T_SLACK:g}")
+
+
+def march(stops, propose, attempt, at_stop, mass) -> float:
+    """Step from t = 0 through the sorted ``stops``; returns the end time.
+
+    ``attempt(t, dt, clipped)`` steps by at most dt, ``propose()`` clipped to the
+    next stop (``clipped`` if it was), and returns the step it took.  At t = 0 and
+    after each step, ``at_stop(t, stop)`` takes each stop within T_SLACK of t, in
+    order; the last ends the run.  A drift of ``mass()`` over MASS_TOL times
+    max(its value at t = 0, 1) raises RuntimeError.
+    """
+    t, k, mass0 = 0.0, 0, mass()
+    while True:
+        while k < len(stops) and stops[k] <= t + T_SLACK:
+            at_stop(t, stops[k])
+            k += 1
+        if k == len(stops):
+            return t
+        dt, gap = propose(), stops[k] - t
+        t += attempt(t, min(dt, gap), dt > gap)
+        drift = mass() - mass0
+        if abs(drift) > MASS_TOL * max(mass0, 1.0):
+            raise RuntimeError(f"mass drift {drift:.3e} at t = {t}")
+
+
+def clip_negatives(c: np.ndarray, log: list[float]) -> np.ndarray | None:
+    """``c`` with negatives down to -NEG_CLIP set to 0, its minimum logged; None below that."""
+    m = float(c.min())
+    if m < -NEG_CLIP:
+        return None
+    if m < 0.0:
+        log.append(m)
+        c = np.maximum(c, 0.0)
+    return c
 
 
 # ---------------------------------------------------------------------------

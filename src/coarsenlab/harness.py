@@ -427,8 +427,8 @@ def _parse_sweep(values: dict, refine: bool):
                  f"{name}: must exceed two output strides ({2.0 * stride!r}), "
                  f"got {values[name]!r}")
     t_end = big_t + values["t_margin"]
-    _require(t_end > lsw_diffusive._T_SLACK, f"T + t_margin must exceed "
-             f"{lsw_diffusive._T_SLACK:g}, or the diffusive runs take no step, got {t_end!r}")
+    _require(t_end > diagnostics.T_SLACK, f"T + t_margin must exceed "
+             f"{diagnostics.T_SLACK:g}, or the diffusive runs take no step, got {t_end!r}")
     cls_cfg = _config(lsw_classical.ClassicalRunConfig, values, tail=tail, t_end=t_end,
                       dt=values["classical_dt"])
     diff_cfgs = [_diffusive_config(values, tail, eps=eps, t_end=t_end, output_stride=stride,
@@ -574,8 +574,8 @@ _DUALITY = {
     "n_cells": (int, 2048),
     # T is the forward run's t_end; name T if it is too short for a step
     "T": (float, 0.5, lambda v: _require(
-        v > lsw_diffusive._T_SLACK,
-        f"must exceed {lsw_diffusive._T_SLACK:g}, or the run takes no step, got {v!r}")),
+        v > diagnostics.T_SLACK,
+        f"must exceed {diagnostics.T_SLACK:g}, or the run takes no step, got {v!r}")),
     "tolerance": (float, 1e-4, _positive),
     "indicator_x0": (float, 1.0),
 }

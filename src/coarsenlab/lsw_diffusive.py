@@ -20,7 +20,8 @@ linear in L^{-1/3} between grid edges.  So a step costs one O(n) pass that
 builds prefix sums, an O(log n) evaluation of the mass change per root-find
 iteration, and the forward solve; the transposed solve that weights the mass
 change depends only on dt and is redone only when dt changes, which the CFL
-step rarely does.  The adjoint solver uses the measure-weighted transpose of
+step, clipped to the output and snapshot times by ``diagnostics.march``,
+rarely does.  The adjoint solver uses the measure-weighted transpose of
 the linearized forward operator, stepped by implicit Euler, so the duality
 pairing is broken only by the time discretization; it marches several
 payoffs through one solve per step.
@@ -36,7 +37,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .banded import bracket, shifted, solve_banded, weighted_transpose
-from .diagnostics import LHistory, TrajectorySeries, moments, output_times
+from .diagnostics import (LHistory, TrajectorySeries, check_window, clip_negatives, march,
+                          moments, output_times)
 from .initial_data import InitialTail, cell_averages
 
 __all__ = [
@@ -49,9 +51,6 @@ __all__ = [
     "adjoint_solve",
     "smoothed_indicator",
 ]
-
-_MASS_TOL = 1e-8  # mass drift that aborts a run
-_T_SLACK = 1e-12  # the run stops once t is this close to t_end
 
 
 def diffusion_coefficient(eps: float, x):
@@ -286,16 +285,13 @@ class DiffusiveRunConfig:
     def validate(self) -> None:
         if self.eps <= 0 or self.eps > 1:
             raise ValueError("eps must lie in (0, 1]")
-        if self.t_end <= _T_SLACK:
-            raise ValueError(f"t_end must exceed {_T_SLACK:g}, or the run takes no step")
+        check_window(self.t_end, self.output_stride)
         if self.cfl <= 0 or self.cfl > 0.9:
             raise ValueError("cfl must lie in (0, 0.9]")
         if self.n_cells < 16:
             raise ValueError("n_cells too small")
         if self.x_max is not None and self.x_max <= self.eps:
             raise ValueError("x_max must exceed eps")
-        if self.output_stride <= 0:
-            raise ValueError("output_stride must be positive")
         if any(not 0 < s <= self.t_end for s in self.snapshot_times):
             raise ValueError("snapshot_times must lie in (0, t_end]")
 
@@ -326,13 +322,10 @@ class DiffusiveSolver:
         states = self.ops.edge_states(self.cbar, self.config.limiter)
         L = determine_L(self.cbar, self.ops, states, dt=dt)
         rhs = self.cbar + dt * self.ops.advective_rate(states, L)
-        c_new = self.ops.diffusion_solve(rhs, dt)
-        m = float(c_new.min())
-        if m < -1e-12:
-            raise RuntimeError(f"negativity {m:.3e} at t = {self.t}; reduce cfl")
-        if m < 0:
-            self.neg_clips.append(m)
-            c_new = np.maximum(c_new, 0.0)
+        solved = self.ops.diffusion_solve(rhs, dt)
+        c_new = clip_negatives(solved, self.neg_clips)
+        if c_new is None:
+            raise RuntimeError(f"negativity {solved.min():.3e} at t = {self.t}; reduce cfl")
         self.cbar = c_new
         self.L = L
         self.t += dt
@@ -340,32 +333,24 @@ class DiffusiveSolver:
     def run(self) -> tuple[TrajectorySeries, LHistory, list[tuple[float, np.ndarray]]]:
         cfg = self.config
         mass0 = self.mass()
-        out_times = output_times(cfg.t_end, cfg.output_stride)
-        snap_times = sorted(set(float(s) for s in cfg.snapshot_times) | {cfg.t_end})
-        rows = [self._row(mass0)]
+        out_times = set(output_times(cfg.t_end, cfg.output_stride).tolist())
+        snap_times = set(map(float, cfg.snapshot_times)) | {cfg.t_end}
+        rows, snapshots = [], []
         knot_t, knot_l = [0.0], [self.L]
-        snapshots = []
-        next_out = 1
-        next_snap = 0
-        while self.t < cfg.t_end - _T_SLACK:
-            stops = [cfg.t_end]
-            if next_out < len(out_times):
-                stops.append(out_times[next_out])
-            if next_snap < len(snap_times):
-                stops.append(snap_times[next_snap])
-            t_stop = min(stops)
-            dt = min(self._dt(), t_stop - self.t)
+
+        def attempt(t: float, dt: float, clipped: bool) -> float:
             self.step(dt)
             knot_t.append(self.t)
             knot_l.append(self.L)
-            if abs(self.mass() - mass0) > _MASS_TOL:
-                raise RuntimeError(f"mass drift {self.mass() - mass0:.3e} at t = {self.t}")
-            if next_snap < len(snap_times) and self.t >= snap_times[next_snap] - 1e-10:
+            return dt
+
+        def at_stop(t: float, stop: float) -> None:
+            if stop in snap_times:
                 snapshots.append((self.t, self.cbar.copy()))
-                next_snap += 1
-            if next_out < len(out_times) and self.t >= out_times[next_out] - 1e-10:
+            if stop in out_times:
                 rows.append(self._row(mass0))
-                next_out += 1
+
+        march(sorted(out_times | snap_times), self._dt, attempt, at_stop, self.mass)
         series = TrajectorySeries.from_rows(
             rows, f"diffusive:eps={cfg.eps}:conserve:M={cfg.n_cells}:{cfg.tail.label}")
         history = LHistory(times=np.array(knot_t), values=np.array(knot_l))

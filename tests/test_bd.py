@@ -152,7 +152,10 @@ class TestSemiImplicitStep:
     def test_solves_each_trial_c1_once(self, closure, monkeypatch):
         c = coarsening_data(ell_max=100)[1:]
         ells = np.arange(2, 101, dtype=float)
-        tri = bd._Tridiag(MODEL, 100, full=isinstance(closure, bd.FullClosure))
+        full = isinstance(closure, bd.FullClosure)
+        tri = bd._Tridiag(MODEL, 100, full=full)
+        c1_now = (bd.monomer_closure_full(c, closure.rho) if full
+                  else bd.monomer_closure_dirichlet(c, MODEL))
         trials, solves = [], []
 
         def recording(search):  # bracket(f, ...) and brentq(f, ...)
@@ -173,7 +176,7 @@ class TestSemiImplicitStep:
         monkeypatch.setattr(bd, "bracket", recording(bd.bracket))
         monkeypatch.setattr(bd, "brentq", recording(bd.brentq))
         monkeypatch.setattr(bd, "solve_banded", counted)
-        c_new, c1 = bd._step_semi_implicit(c, 0.05, MODEL, closure, tri, ells)
+        c_new, c1 = bd._step_semi_implicit(c, 0.05, MODEL, closure, tri, ells, c1_now)
         assert len(solves) == len(set(trials))
         assert np.array_equal(c_new, tri.trapezoid(c, 0.05)(c1))
 
@@ -201,7 +204,8 @@ class TestSemiImplicitStep:
         bracket = bd.bracket
         monkeypatch.setattr(bd, "bracket", recording)
         tri = bd._Tridiag(MODEL, 100, full=False)
-        c_new, c1 = bd._step_semi_implicit(c, 0.05, MODEL, bd.DirichletClosure(), tri, ells)
+        c_new, c1 = bd._step_semi_implicit(c, 0.05, MODEL, bd.DirichletClosure(), tri, ells,
+                                           excess + MODEL.z_s)
         [(start, found)] = brackets
         assert not start[0] <= c1 <= start[1]
         assert found[0] <= c1 <= found[1] and found != start
@@ -245,10 +249,12 @@ class TestErrorControl:
         slope = tri.rate(c, bd.monomer_closure_dirichlet(c, MODEL))
         estimates = []
         for h in (0.02, 0.01, 0.005):
-            c_new, _ = bd._step_semi_implicit(c, h, MODEL, closure, tri, ells)
+            c_new, _ = bd._step_semi_implicit(c, h, MODEL, closure, tri, ells,
+                                              bd.monomer_closure_dirichlet(c, MODEL))
             fine = c
             for _ in range(256):
-                fine, _ = bd._step_semi_implicit(fine, h / 256, MODEL, closure, tri, ells)
+                fine, _ = bd._step_semi_implicit(fine, h / 256, MODEL, closure, tri, ells,
+                                                 bd.monomer_closure_dirichlet(fine, MODEL))
             est = np.max(np.abs(bd._local_error(c, c_new, slope, h, (c_prev, tau))))
             assert 0.8 <= est / np.max(np.abs(c_new - fine)) <= 1.25
             estimates.append(est)

@@ -1,12 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from coarsenlab import initial_data
 from coarsenlab.diagnostics import (
+    MASS_TOL,
+    T_SLACK,
     TrajectorySeries,
+    clip_negatives,
     coarsening_rate,
     kohn_otto_report,
+    march,
     moments,
+    output_times,
 )
 
 # Moments of c0 = x e^{-x}/2: the 2/3-moment is Gamma(8/3)/2 and the
@@ -167,3 +176,95 @@ class TestCoarseningRate:
         series = TrajectorySeries(times=t, columns={"Lambda": t})
         with pytest.raises(ValueError):
             coarsening_rate(series, 0.01)
+
+
+class TestOutputTimes:
+    def test_stride_grid_then_t_end(self):
+        assert output_times(0.5, 0.1).tolist() == [0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5]
+        # a last gap under stride/4 is merged into t_end
+        assert output_times(1.02, 0.1)[-2:].tolist() == [0.9, 1.02]
+
+    def test_starts_at_zero_below_a_quarter_stride(self):
+        assert output_times(0.02, 0.1).tolist() == [0.0, 0.02]
+
+    @given(st.floats(1e-3, 100.0), st.floats(1e-3, 10.0))
+    def test_the_stride_grid_past_a_quarter_stride(self, t_end, stride):
+        assume(t_end > 0.25 * stride)
+        expected = np.append(np.arange(0.0, t_end - 0.25 * stride, stride), t_end)
+        assert np.array_equal(output_times(t_end, stride), expected)
+
+
+# gaps between stops: ordinary ones, and ones under the slack, which a single
+# step must reach together
+_GAPS = st.one_of(st.floats(1e-3, 0.4), st.floats(1e-16, 0.4 * T_SLACK))
+
+
+class TestMarch:
+    @given(st.lists(_GAPS, min_size=1, max_size=12),
+           st.lists(st.floats(1e-3, 0.3), min_size=1, max_size=8),
+           st.lists(st.booleans(), min_size=1, max_size=8))
+    def test_reports_every_stop_once_and_in_order(self, gaps, proposals, rejects):
+        stops = np.concatenate(([0.0], np.cumsum(gaps)))
+        proposals, rejects = itertools.cycle(proposals), itertools.cycle(rejects)
+        reported, times = [], []
+
+        def attempt(t, dt, clipped):
+            following = stops[len(reported)]
+            assert t == times[-1] and dt <= following - t
+            assert clipped == (dt < proposed[0])
+            if next(rejects) and dt > 1e-3:  # a rejected try halves the step
+                dt *= 0.5
+            times.append(t + dt)
+            assert times[-1] <= following + T_SLACK  # no stop is passed
+            return dt
+
+        def propose():
+            proposed[:] = [next(proposals)]
+            return proposed[0]
+
+        def at_stop(t, stop):
+            assert abs(t - stop) <= T_SLACK
+            times.append(t)
+            reported.append((t, stop))
+
+        proposed = []
+        t_end = march(stops, propose, attempt, at_stop, lambda: 1.0)
+        assert [stop for _, stop in reported] == stops.tolist()
+        assert abs(t_end - stops[-1]) <= T_SLACK
+        for t in sorted(set(t for t, _ in reported)):
+            group = [stop for t_stop, stop in reported if t_stop == t]
+            # the step that reached the group's first stop reports every stop
+            # within half the slack of it, and none beyond the slack of t
+            assert group == [s for s in stops if group[0] <= s <= t + T_SLACK]
+            assert all(s in group for s in stops if group[0] <= s < group[0] + 0.5 * T_SLACK)
+
+    @given(st.integers(0, 5), st.floats(0.1, 10.0),
+           st.floats(-2.0, 2.0).filter(lambda f: 0.5 < abs(f) and abs(abs(f) - 1.0) > 1e-3))
+    def test_mass_drift_aborts_with_the_time(self, step, mass0, factor):
+        # a drift of |factor| times the bound, relative to max(mass0, 1), from ``step`` on
+        steps = []
+
+        def mass():
+            return mass0 + (factor * MASS_TOL * max(mass0, 1.0) if len(steps) > step else 0.0)
+
+        def attempt(t, dt, clipped):
+            steps.append(t + dt)
+            return dt
+
+        def run():
+            return march(np.linspace(0.0, 1.0, 11), lambda: 0.07, attempt,
+                         lambda t, stop: None, mass)
+
+        if abs(factor) < 1.0:
+            assert run() == pytest.approx(1.0)
+        else:
+            with pytest.raises(RuntimeError, match="mass drift") as raised:
+                run()
+            assert str(raised.value).endswith(f"at t = {steps[step]}")
+
+    def test_clip_negatives(self):
+        log = []
+        assert clip_negatives(np.array([1.0, 0.0]), log).tolist() == [1.0, 0.0] and not log
+        assert clip_negatives(np.array([1.0, -1e-13]), log).tolist() == [1.0, 0.0]
+        assert log == [-1e-13]
+        assert clip_negatives(np.array([1.0, -1e-11]), log) is None

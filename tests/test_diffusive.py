@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 
 from coarsenlab import initial_data, lsw_diffusive
 from coarsenlab.banded import bracket, matvec, weighted_transpose
-from coarsenlab.diagnostics import LHistory
+from coarsenlab.diagnostics import T_SLACK, LHistory, output_times
 from coarsenlab.lsw_diffusive import (
     DiffusiveRunConfig,
     DiffusiveSolver,
@@ -274,6 +274,16 @@ class TestRun:
         transposed = sum(b is solver.grid.centers for b in solves)  # the mass weights
         assert transposed == changes
         assert len(solves) == len(dts) + changes  # and one forward solve a step
+
+    def test_stops_at_output_and_snapshot_times(self):
+        # 0.3 is a snapshot, and 0.30000000000000004 an output time, reached together
+        cfg = DiffusiveRunConfig(tail=initial_data.exponential_moment(), eps=0.2, t_end=0.5,
+                                 n_cells=64, output_stride=0.1, snapshot_times=(0.15, 0.3))
+        series, history, snapshots, _ = run_diffusive(cfg)
+        np.testing.assert_allclose(series.times, output_times(0.5, 0.1), rtol=0.0, atol=T_SLACK)
+        np.testing.assert_allclose([t for t, _ in snapshots], [0.15, 0.3, 0.5],
+                                   rtol=0.0, atol=T_SLACK)
+        assert set(series.times) | {t for t, _ in snapshots} <= set(history.times)
 
     def test_zero_data_stays_zero_operators(self):
         grid = Grid.log_graded(0.25, 10.0, 64)

@@ -65,6 +65,11 @@ CONFIG_FAULTS = [
     ("duality", {"n_cells": 16, "T": 1e-13}, "T:"),
     ("bd", {"ell_max": 20, "initial": {"kind": "bins", "entries": [[2, 1.0]]},
             "t_end": 1e-15}, "t_end"),
+    ("bd", {"ell_max": 20, "initial": {"kind": "bins", "entries": [[2, 1.0]]},
+            "t_end": 1e-13}, "t_end"),
+    # output times within the slack of each other would be reached by one step
+    ("diffusive", {"eps": 0.2, "n_cells": 16, "t_end": 0.1, "output_stride": 1e-13},
+     "output_stride"),
     ("duality", {"n_cells": 8}, "n_cells"),
     ("bd", {"initial": {"kind": "bins", "entries": [[2, "x"]]}}, "entries"),
     ("bd", {"closure": "full"}, "closure"),
@@ -378,6 +383,21 @@ class TestClassicalExperiment:
         assert run_experiment(cfg, str(tmp_path)) == 0
         times = np.loadtxt(tmp_path / "series.csv", delimiter=",", skiprows=1)[:, 0]
         assert times.tolist() == [0.0, 0.01]
+
+
+# t_end under a quarter of output_stride: the series holds t = 0 and t_end
+@pytest.mark.parametrize("cfg", [
+    {"kind": "bd", "ell_max": 100, "t_end": 0.1,
+     "initial": {"kind": "bins", "entries": [[ell, 1] for ell in range(2, 11)]}},
+    {"kind": "bd", "ell_max": 100, "t_end": 0.1, "scheme": "explicit-adaptive",
+     "initial": {"kind": "bins", "entries": [[ell, 1] for ell in range(2, 11)]}},
+    {"kind": "diffusive", "eps": 0.2, "n_cells": 64, "t_end": 0.02, "output_stride": 0.1},
+], ids=["bd", "bd-explicit", "diffusive"])
+def test_run_shorter_than_a_quarter_stride(cfg, tmp_path):
+    assert run_experiment(cfg, str(tmp_path)) == 0
+    times = np.loadtxt(tmp_path / "series.csv", delimiter=",", skiprows=1)[:, 0]
+    assert len(times) == 2 and times[0] == 0.0
+    assert times[1] == pytest.approx(cfg["t_end"], rel=0.0, abs=1e-12)
 
 
 class TestDiffusiveExperiment:

@@ -22,8 +22,8 @@ the root.  The step size is controlled by Milne's device: a quadratic
 predictor through the previous accepted state, the current one and the slope
 there gives the trapezoid's local error from the one step each attempt takes,
 so an attempt costs one root-find.  ``diagnostics.march`` clips the steps to
-the output times and aborts on mass drift.  An adaptive explicit integrator
-is available as a cross-check.
+the output times and aborts on mass drift.  An adaptive explicit cross-check
+runs ``solve_ivp`` from stop to stop in the same loop, with the same aborts.
 
 The model functions work on plain arrays.  ``bd_rhs`` takes the densities
 c_ell for ell = 1..ell_max, whose first entry is the monomer slot; the monomer
@@ -99,21 +99,14 @@ class BdRunConfig:
             raise ValueError("initial data must be a 1-D array")
         if np.any(gamma < 0):
             raise ValueError("initial data must be nonnegative")
-        ells = np.arange(1, len(gamma) + 1)
-        if isinstance(self.closure, FullClosure):
-            mass = float(ells @ gamma)
-            if not np.isclose(mass, self.closure.rho, rtol=1e-10, atol=1e-12):
-                raise ValueError(
-                    f"full closure requires sum ell*gamma_ell = rho, got {mass}"
-                )
-        else:
-            if gamma[0] != 0.0:
-                raise ValueError("dirichlet closure requires gamma_1 = 0")
-            mass = float(ells[1:] @ gamma[1:])
-            if not np.isclose(mass, 1.0, rtol=1e-10, atol=1e-12):
-                raise ValueError(
-                    f"dirichlet closure requires sum_(ell>=2) ell*gamma_ell = 1, got {mass}"
-                )
+        full = isinstance(self.closure, FullClosure)
+        if not full and gamma[0] != 0.0:
+            raise ValueError("dirichlet closure requires gamma_1 = 0")
+        # the mass is rho for the full closure, and 1 on ell >= 2 for the Dirichlet one
+        ref = self.closure.rho if full else 1.0
+        mass = float(np.arange(1, len(gamma) + 1) @ gamma)
+        if not np.isclose(mass, ref, rtol=1e-10, atol=1e-12):
+            raise ValueError(f"the closure requires sum ell*gamma_ell = {ref}, got {mass}")
         if self.scheme not in ("semi-implicit", "explicit-adaptive"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         check_window(self.t_end, self.output_stride)
@@ -298,7 +291,8 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
 
     Snapshots are (t, c) pairs with c indexed ell = 1..ell_max, taken at the
     ``output_times`` by ``march``, which raises RuntimeError on mass drift.
-    Aborts (BdRunError) on step-size underflow or density at the cutoff.
+    Both schemes abort (BdRunError) on density at the cutoff, the semi-implicit
+    one on step-size underflow too; the explicit one clips negatives at each stop.
     """
     config.validate()
     model, closure = config.model, config.closure
@@ -306,53 +300,64 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
     gamma = np.asarray(config.initial, dtype=float)
     ell_max = len(gamma)
     ells = np.arange(2, ell_max + 1, dtype=float)
-
-    out_times = output_times(config.t_end, config.output_stride)
+    bound = truncation_bound(closure.rho if full else 1.0, ell_max)
+    c = gamma[1:].copy()
     rows, snapshots = [], []
 
-    def record(t: float, c: np.ndarray) -> None:
+    def record(t: float, _) -> None:
         rows.append(_row(t, c, config, ells))
         # the snapshot's monomer slot holds the full closure's c1; the Dirichlet state has none
         snapshots.append((t, np.concatenate(([rows[-1]["c1"] if full else 0.0], c))))
 
     if config.scheme == "explicit-adaptive":
-        for t, state in _run_explicit(config, gamma, out_times):
-            record(t, state)
-        return _series(rows, config), snapshots
+        def attempt(t: float, h: float, clipped: bool) -> float:
+            nonlocal c
+            sol = solve_ivp(lambda _, y: bd_rhs(np.concatenate(([0.0], y)), model, closure)[1:],
+                            (t, t + h), c, method="DOP853", rtol=1e-10, atol=_ATOL)
+            if not sol.success:
+                raise BdRunError(f"explicit integration failed: {sol.message}")
+            c = np.maximum(sol.y[:, -1], 0.0)
+            return h
 
-    tri = _Tridiag(model, ell_max, full)
-    c = gamma[1:].copy()
-    dt = config.dt_init
-    neg_log: list[float] = []
-    previous = None  # (state, step) of the last accepted step
+        dt = np.inf  # each step runs to the next stop
+    else:
+        tri = _Tridiag(model, ell_max, full)
+        dt = config.dt_init
+        neg_log: list[float] = []
+        previous = None  # (state, step) of the last accepted step
 
-    def attempt(t: float, h: float, clipped: bool) -> float:
-        nonlocal c, dt, previous
-        c1 = _monomer_density(c, config)
-        slope = tri.rate(c, c1)
-        while True:
-            if h < 1e-14:
-                raise BdRunError(f"step size underflow at t = {t}")
-            c_new, _ = _step_semi_implicit(c, h, model, closure, tri, ells, c1)
-            est = _local_error(c, c_new, slope, h, previous)
-            scale = _ATOL + _RTOL * np.maximum(np.abs(c), np.abs(c_new))
-            err = float(np.max(np.abs(est) / scale))
-            committed = clip_negatives(c_new, neg_log) if err <= 1.0 else None
-            if committed is not None:
-                break
-            clipped = False
-            h *= 0.5 if err <= 1.0 else max(0.2, 0.9 * err ** (-1.0 / 3.0))
-        previous, c = (c, h), committed
-        cand = h * min(4.0, max(0.2, 0.9 * (max(err, 1e-12)) ** (-1.0 / 3.0)))
-        dt = max(cand, dt) if clipped else cand
-        if c[-1] > truncation_bound(closure.rho if full else 1.0, ell_max):
+        def attempt(t: float, h: float, clipped: bool) -> float:
+            nonlocal c, dt, previous
+            c1 = _monomer_density(c, config)
+            slope = tri.rate(c, c1)
+            while True:
+                if h < 1e-14:
+                    raise BdRunError(f"step size underflow at t = {t}")
+                c_new, _ = _step_semi_implicit(c, h, model, closure, tri, ells, c1)
+                est = _local_error(c, c_new, slope, h, previous)
+                scale = _ATOL + _RTOL * np.maximum(np.abs(c), np.abs(c_new))
+                err = float(np.max(np.abs(est) / scale))
+                committed = clip_negatives(c_new, neg_log) if err <= 1.0 else None
+                if committed is not None:
+                    break
+                clipped = False
+                h *= 0.5 if err <= 1.0 else max(0.2, 0.9 * err ** (-1.0 / 3.0))
+            previous, c = (c, h), committed
+            cand = h * min(4.0, max(0.2, 0.9 * (max(err, 1e-12)) ** (-1.0 / 3.0)))
+            dt = max(cand, dt) if clipped else cand
+            return h
+
+    def step(t: float, h: float, clipped: bool) -> float:
+        h = attempt(t, h, clipped)
+        if c[-1] > bound:
             raise BdRunError(f"truncation saturation: c_ell_max = {c[-1]:.3e} at "
                              f"t = {t + h}; increase ell_max")
         return h
 
-    march(out_times, lambda: dt, attempt, lambda t, _: record(t, c),
+    march(output_times(config.t_end, config.output_stride), lambda: dt, step, record,
           lambda: float(ells @ c) + (monomer_closure_full(c, closure.rho) if full else 0.0))
-    return _series(rows, config), snapshots
+    provenance = f"bd:{'full' if full else 'dirichlet'}:{config.scheme}"
+    return TrajectorySeries.from_rows(rows, provenance), snapshots
 
 
 def _monomer_density(c: np.ndarray, config: BdRunConfig) -> float:
@@ -375,25 +380,3 @@ def _row(t: float, c: np.ndarray, config: BdRunConfig, ells: np.ndarray) -> dict
         ell_scale = np.nan
     return {"t": t, "mass": mass, "c1": c1, "g": float(c.sum()), "Lambda": lam,
             "L": ell_scale, "E": energy, "M": scale, "N": number}
-
-
-def _series(rows: list[dict], config: BdRunConfig) -> TrajectorySeries:
-    closure = "full" if isinstance(config.closure, FullClosure) else "dirichlet"
-    return TrajectorySeries.from_rows(rows, f"bd:{closure}:{config.scheme}")
-
-
-def _run_explicit(config: BdRunConfig, gamma: np.ndarray,
-                  out_times: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """(t, c) at ``out_times``, c indexed ell = 2..ell_max, by an adaptive explicit scheme."""
-
-    def rhs(t: float, c: np.ndarray) -> np.ndarray:
-        return bd_rhs(np.concatenate(([0.0], c)), config.model, config.closure)[1:]
-
-    sol = solve_ivp(
-        rhs, (0.0, config.t_end), gamma[1:], method="DOP853",
-        t_eval=out_times, rtol=1e-10, atol=_ATOL,
-        max_step=config.t_end,
-    )
-    if not sol.success:
-        raise BdRunError(f"explicit integration failed: {sol.message}")
-    return [(t, np.maximum(c, 0.0)) for t, c in zip(sol.t, sol.y.T)]

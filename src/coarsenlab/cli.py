@@ -42,10 +42,8 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}")
         return 2
-    if not isinstance(config, dict):
-        print("config error: top level must be a JSON object")
-        return 2
-    config["kind"] = args.kind
+    if isinstance(config, dict):  # run_experiment rejects any other config
+        config["kind"] = args.kind
     return run_experiment(config, args.out, seed=args.seed, refine=args.refine)
 
 

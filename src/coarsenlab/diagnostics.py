@@ -4,10 +4,12 @@ Everything here works off either plain (size, weight) arrays (for the
 pointwise moments) or a recorded :class:`TrajectorySeries` (for the
 time-dependent checks), never off solver internals, so the same checks apply
 to the discrete cluster system, the classical transport solver, and the
-diffusive finite-volume solver.  :func:`write_csv` is the one CSV writer for
-every artifact.  :class:`LHistory` is the record of the transport parameter
-``L(t)`` that the classical, diffusive and Monte Carlo solvers share.
-:func:`march` is the one run loop of the Becker-Doring and diffusive steppers.
+diffusive finite-volume solver.  Each invariant a run is checked for is one
+function here, and :func:`run_checks` applies a table of them.  :func:`write_csv`
+is the one CSV writer for every artifact.  :class:`LHistory` is the record of
+the transport parameter ``L(t)`` that the classical, diffusive and Monte Carlo
+solvers share.  :func:`march` is the one run loop of the Becker-Doring and
+diffusive steppers.
 """
 
 from __future__ import annotations
@@ -25,6 +27,14 @@ __all__ = [
     "check_window",
     "march",
     "clip_negatives",
+    "check",
+    "run_checks",
+    "nondecreasing",
+    "nonincreasing",
+    "strictly_decreasing",
+    "bounded",
+    "max_drift",
+    "above",
     "kohn_otto_report",
     "coarsening_rate",
 ]
@@ -199,6 +209,57 @@ def moments(x: np.ndarray, w: np.ndarray) -> tuple[float, float, float, float]:
 
 
 # ---------------------------------------------------------------------------
+# invariants, each returning one check's entry: name, passed, what it measured
+
+
+def check(name: str, passed, **extra) -> dict:
+    return {"name": name, "passed": bool(passed), **extra}
+
+
+def run_checks(rows, data) -> list[dict]:
+    """The check of each row (name, invariant, columns, keywords) on ``data[column]``."""
+    return [invariant(name, *(data[col] for col in cols), **kw)
+            for name, invariant, cols, kw in rows]
+
+
+def nondecreasing(name: str, x, atol: float = 0.0, rtol: float = 0.0) -> dict:
+    """No step of ``x`` falls by more than atol + rtol |x|, x the value it leaves."""
+    return check(name, np.all(np.diff(x) >= -(atol + rtol * np.abs(x[:-1]))))
+
+
+def _ends(x, label: str) -> dict:  # the ends of column ``label``
+    return {f"{label}_first": float(x[0]), f"{label}_last": float(x[-1])}
+
+
+def nonincreasing(name: str, x, atol: float, label: str) -> dict:
+    """No step of ``x`` rises by more than atol; reports its ends."""
+    return check(name, np.all(np.diff(x) <= atol), **_ends(x, label))
+
+
+def strictly_decreasing(name: str, x, label: str | None = None) -> dict:
+    """Each value of ``x`` below the one before; reports its ends, or all of it unlabelled."""
+    return check(name, np.all(np.diff(x) < 0), **(_ends(x, label) if label else {"values": x}))
+
+
+def max_drift(name: str, x, ref: float | None = None, *, tol: float) -> dict:
+    """The largest |x - ref| at most tol max(ref, 1), reported as max_drift; without
+    ``ref``, ``x`` is a residual, its largest |x| at most tol, reported as max_residual."""
+    key, ref = ("max_residual", 0.0) if ref is None else ("max_drift", ref)
+    drift = float(np.max(np.abs(x - ref)))
+    return check(name, drift <= tol * max(ref, 1.0), **{key: drift})
+
+
+def bounded(name: str, x, hi=np.inf, lo: float = -np.inf, rtol: float = 0.0, **extra) -> dict:
+    """Every value of ``x`` at most hi (1 + rtol) and at least lo; reports ``extra`` as given."""
+    return check(name, np.all((lo <= x) & (x <= hi * (1 + rtol))), **extra)
+
+
+def above(name: str, x, lo: float, label: str) -> dict:
+    """Every value of ``x`` over ``lo``; reports its least as min_<label>."""
+    return check(name, np.all(x > lo), **{f"min_{label}": float(np.min(x))})
+
+
+# ---------------------------------------------------------------------------
 # series-level checks
 
 _N_LADDER = 8  # T values on the R(T) ladder, halving down from the end time
@@ -220,7 +281,7 @@ def kohn_otto_report(series: TrajectorySeries) -> dict:
     m = series.column("M")
 
     e_tol = 1e-12 * max(1.0, float(np.max(np.abs(e))))
-    e_nonincreasing = bool(np.all(np.diff(e) <= e_tol))
+    e_nonincreasing = nonincreasing("E_nonincreasing", e, e_tol, "E")["passed"]
 
     em_min = float(np.min(e * m))
 
@@ -235,12 +296,9 @@ def kohn_otto_report(series: TrajectorySeries) -> dict:
     ratio_max = float(np.max(ratio)) if len(ratio) else float("nan")
     # "bounded" = the late-time level does not exceed the early-time level:
     # compare upper quartiles so single-sample noise does not dominate.
-    if len(ratio_late) >= 4 and half >= 4:
-        early_q = float(np.quantile(ratio[:half], 0.75))
-        late_q = float(np.quantile(ratio_late, 0.75))
-        ratio_bounded = bool(late_q <= 1.5 * early_q + 1e-30)
-    else:
-        ratio_bounded = True
+    ratio_bounded = len(ratio_late) < 4 or half < 4 or bounded(
+        "rate_ratio_bounded", np.quantile(ratio_late, 0.75),
+        1.5 * np.quantile(ratio[:half], 0.75) + 1e-30)["passed"]
 
     # R(T) ladder: geometric T values up to the end of the run.
     t_end = float(t[-1])
@@ -257,15 +315,13 @@ def kohn_otto_report(series: TrajectorySeries) -> dict:
         t0 = float(t[doubled[0]]) if len(doubled) else t_end
     else:
         t0 = float(t[len(t) // 4])
-    tail = [r for bt, r in zip(ladder_t, r_values) if bt >= t0]
-    r_bounded = bool(
-        len(tail) < 2 or all(b <= a * 1.05 for a, b in zip(tail[:-1], tail[1:]))
-    )
+    tail = np.array([r for bt, r in zip(ladder_t, r_values) if bt >= t0])
+    r_bounded = bounded("R_bounded", tail[1:], tail[:-1], rtol=0.05)["passed"]
 
     return {
         "E_nonincreasing": e_nonincreasing,
         "EM_min": em_min,
-        "EM_at_least_one": bool(em_min >= 1.0 - 1e-6),
+        "EM_at_least_one": bounded("EM_at_least_one", em_min, lo=1.0 - 1e-6)["passed"],
         "rate_ratio_max": ratio_max,
         "rate_ratio_bounded": ratio_bounded,
         "R_ladder": [

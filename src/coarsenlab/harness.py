@@ -6,7 +6,8 @@ into the run.  The tables take in the ``json`` fields of the run-config
 dataclasses, whose ``validate()`` holds their checks.  A run writes
 ``config.json`` (the effective config: every field, defaults and derived
 values filled in, and the seed), ``series.csv``, ``snapshots/*.csv``, and
-``summary.json`` with a per-check pass/fail list.  ``run_experiment`` maps the
+``summary.json`` with a per-check pass/fail list; each check is a ``diagnostics``
+invariant, and a kind that checks columns lists them as rows.  ``run_experiment`` maps the
 outcome to the exit code in one place: 0 all checks pass, 1 a check failed,
 2 invalid config (a key outside the table, nested ones included, or a field
 missing, of the wrong JSON type, or failing validation; nothing runs), 3 any
@@ -28,7 +29,8 @@ import numpy as np
 
 from . import bd as bd_mod
 from . import diagnostics, initial_data, lsw_classical, lsw_diffusive, sde
-from .diagnostics import write_csv
+from .diagnostics import (above, bounded, check, max_drift, nondecreasing, nonincreasing,
+                          run_checks, strictly_decreasing, write_csv)
 from .rates import RateModel, equilibrium_table
 
 __all__ = [
@@ -36,7 +38,6 @@ __all__ = [
     "ConfigError",
     "parse_config",
     "run_experiment",
-    "tail_distance",
     "tail_quantile_probes",
 ]
 
@@ -137,8 +138,8 @@ def _one_of(*options):
 
 def _config(cls, values: dict, **fixed):
     """``cls`` of its fields in ``values`` and ``fixed``, once its ``validate()`` passes."""
-    run_cfg = cls(**{**{key: values[key] for key in _table(cls) if key in values}, **fixed})
     try:
+        run_cfg = cls(**{**{key: values[key] for key in _table(cls) if key in values}, **fixed})
         run_cfg.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -180,10 +181,6 @@ def _write_snapshot(out_dir: str, name: str, header: str, t: float,
               np.column_stack((np.full(len(x), t), x, values)))
 
 
-def _check(name: str, passed: bool, **extra) -> dict:
-    return {"name": name, "passed": bool(passed), **extra}
-
-
 def tail_quantile_probes(tail: initial_data.InitialTail, n: int = 16) -> np.ndarray:
     """Probe positions where the initial tail crosses n evenly spaced levels."""
     n0 = tail.n0
@@ -199,20 +196,6 @@ def tail_quantile_probes(tail: initial_data.InitialTail, n: int = 16) -> np.ndar
                 hi = mid
         probes.append(0.5 * (lo + hi))
     return np.array(sorted(probes))
-
-
-def tail_distance(diffusive_solver: lsw_diffusive.DiffusiveSolver, cbar: np.ndarray,
-                  classical_solver: lsw_classical.ClassicalSolver, t: float,
-                  probes: np.ndarray) -> tuple[float, list[dict]]:
-    """Sup over probes of |int_x^inf c_eps  -  w0(F(x,t))| plus the table."""
-    tail_eps = diffusive_solver.tail_at(cbar, probes)
-    tail_cls = np.atleast_1d(classical_solver.tail_value(probes, t))
-    table = [
-        {"x": float(x), "tail_diffusive": float(a), "tail_classical": float(b),
-         "diff": float(a - b)}
-        for x, a, b in zip(probes, tail_eps, tail_cls)
-    ]
-    return float(np.max(np.abs(tail_eps - tail_cls))), table
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +252,22 @@ def _parse_bd(values: dict, refine: bool):
         closure=bd_mod.FullClosure(closure["rho"]) if full else bd_mod.DirichletClosure()))
 
 
+# the columns a bd run is checked on: its series, "c_min" the least density of
+# each snapshot, "mass_ref" the mass it conserves (rho, or 1 on ell >= 2) and "z_s"
+_BD_CHECKS = [
+    ("mass_conservation", max_drift, ("mass", "mass_ref"), {"tol": 1e-8}),
+    ("nonnegativity", bounded, ("c_min",), {"lo": -1e-12}),
+]
+# under the full closure L is undefined while c1 <= z_s, and nucleation may
+# lower Lambda, so these hold only for the Dirichlet closure
+_DIRICHLET_CHECKS = _BD_CHECKS + [
+    ("c1_above_saturation", above, ("c1", "z_s"), {"label": "c1"}),
+    ("g_strictly_decreasing", strictly_decreasing, ("g",), {"label": "g"}),
+    ("Lambda_nondecreasing", nondecreasing, ("Lambda",), {"rtol": 1e-10}),
+    ("L_below_Lambda", bounded, ("L", "Lambda"), {"rtol": 1e-8}),
+]
+
+
 def _run_bd(run_cfg: bd_mod.BdRunConfig, out_dir: str) -> Outcome:
     series, snapshots = bd_mod.run_bd(run_cfg)
     series.write_csv(os.path.join(out_dir, "series.csv"),
@@ -276,26 +275,12 @@ def _run_bd(run_cfg: bd_mod.BdRunConfig, out_dir: str) -> Outcome:
     for idx, (t, c) in enumerate(snapshots):
         _write_snapshot(out_dir, f"bd_{idx:04d}.csv", "t,ell,c", t,
                         np.arange(1, len(c) + 1), c)
-
     full = isinstance(run_cfg.closure, bd_mod.FullClosure)
-    mass = series.column("mass")
-    mass_ref = run_cfg.closure.rho if full else 1.0
-    drift = float(np.max(np.abs(mass - mass_ref)))
-    checks = [
-        _check("mass_conservation", drift <= 1e-8 * max(mass_ref, 1.0),
-               max_drift=drift),
-        _check("nonnegativity",
-               min(float(np.min(c)) for _, c in snapshots) >= -1e-12),
-    ]
-    if not full:
-        c1 = series.column("c1")
-        g = series.column("g")
-        checks.append(_check("c1_above_saturation", bool(np.all(c1 > run_cfg.model.z_s)),
-                             min_c1=float(np.min(c1))))
-        checks.append(_check("g_strictly_decreasing", bool(np.all(np.diff(g) < 0)),
-                             g_first=float(g[0]), g_last=float(g[-1])))
+    checks = run_checks(_BD_CHECKS if full else _DIRICHLET_CHECKS, {
+        **series.columns, "c_min": np.array([c.min() for _, c in snapshots]),
+        "mass_ref": run_cfg.closure.rho if full else 1.0, "z_s": run_cfg.model.z_s})
     return checks, {"closure": "full" if full else "dirichlet",
-                    "ell_max": len(run_cfg.initial), "mass_drift": drift}
+                    "ell_max": len(run_cfg.initial), "mass_drift": checks[0]["max_drift"]}
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +288,11 @@ def _run_bd(run_cfg: bd_mod.BdRunConfig, out_dir: str) -> Outcome:
 
 
 _CLASSICAL = {"initial": _INITIAL, **_table(lsw_classical.ClassicalRunConfig)}
+_CLASSICAL_CHECKS = [
+    ("Lambda_nondecreasing", nondecreasing, ("Lambda",), {"atol": 1e-12}),
+    ("L_below_Lambda", bounded, ("L", "Lambda"), {"rtol": 1e-10}),
+    ("mass_residual", max_drift, ("mass_residual",), {"tol": 1e-6}),
+]
 
 
 def _parse_classical(values: dict, refine: bool):
@@ -318,16 +308,11 @@ def _run_classical(run_cfg: lsw_classical.ClassicalRunConfig, out_dir: str) -> O
     for idx, t in enumerate((0.0, run_cfg.t_end)):
         w = np.atleast_1d(solver.tail_value(probes, t))
         _write_snapshot(out_dir, f"tail_{idx:04d}.csv", "t,x,w", t, probes, w)
-    lam = series.column("Lambda")
-    big_l = series.column("L")
-    resid = float(np.max(np.abs(series.column("mass_residual"))))
-    checks = [
-        _check("Lambda_nondecreasing", bool(np.all(np.diff(lam) >= -1e-12))),
-        _check("L_below_Lambda", bool(np.all(big_l <= lam * (1 + 1e-10)))),
-        _check("mass_residual", resid <= 1e-6, max_residual=resid),
-    ]
-    return checks, {"L_end": float(big_l[-1]), "Lambda_end": float(lam[-1]),
-                    "max_mass_residual": resid, "fp_iterations": sum(solver.fp_iterations),
+    checks = run_checks(_CLASSICAL_CHECKS, series.columns)
+    return checks, {"L_end": float(series.column("L")[-1]),
+                    "Lambda_end": float(series.column("Lambda")[-1]),
+                    "max_mass_residual": checks[-1]["max_residual"],
+                    "fp_iterations": sum(solver.fp_iterations),
                     "fp_iterations_max_step": max(solver.fp_iterations)}
 
 
@@ -358,28 +343,13 @@ def _diffusive_config(values: dict, tail: initial_data.InitialTail,
     return run_cfg
 
 
-def _diffusive_checks(series: diagnostics.TrajectorySeries) -> list[dict]:
-    lam = series.column("Lambda")
-    big_l = series.column("L")
-    resid = float(np.max(np.abs(series.column("mass_residual"))))
-    checks = [
-        _check("Lambda_nondecreasing", bool(np.all(np.diff(lam) >= -1e-10))),
-        _check("L_below_Lambda", bool(np.all(big_l <= lam * (1 + 1e-8)))),
-        _check("mass_conservation", resid <= 1e-8, max_residual=resid),
-    ]
-    e = series.column("E")
-    checks.append(_check("E_nonincreasing",
-                         bool(np.all(np.diff(e) <= 1e-12)),
-                         E_first=float(e[0]), E_last=float(e[-1])))
-    if len(series) >= 8:
-        report = diagnostics.kohn_otto_report(series)
-        checks.append(_check("EM_at_least_one", report["EM_at_least_one"],
-                             EM_min=report["EM_min"]))
-        checks.append(_check("rate_ratio_bounded", report["rate_ratio_bounded"],
-                             rate_ratio_max=report["rate_ratio_max"]))
-        checks.append(_check("R_ladder_bounded", report["R_bounded"],
-                             ladder=report["R_ladder"]))
-    return checks
+# then, on a series of at least 8 rows, three verdicts of diagnostics.kohn_otto_report
+_DIFFUSIVE_CHECKS = [
+    ("Lambda_nondecreasing", nondecreasing, ("Lambda",), {"atol": 1e-10}),
+    ("L_below_Lambda", bounded, ("L", "Lambda"), {"rtol": 1e-8}),
+    ("mass_conservation", max_drift, ("mass_residual",), {"tol": 1e-8}),
+    ("E_nonincreasing", nonincreasing, ("E",), {"atol": 1e-12, "label": "E"}),
+]
 
 
 def _parse_diffusive(values: dict, refine: bool):
@@ -393,7 +363,13 @@ def _run_diffusive(run_cfg: lsw_diffusive.DiffusiveRunConfig, out_dir: str) -> O
     for idx, (t, cbar) in enumerate(snapshots):
         _write_snapshot(out_dir, f"density_{idx:04d}.csv", "t,x_center,c", t,
                         solver.grid.centers, cbar)
-    checks = _diffusive_checks(series)
+    checks = run_checks(_DIFFUSIVE_CHECKS, series.columns)
+    if len(series) >= 8:
+        report = diagnostics.kohn_otto_report(series)
+        checks += [check("EM_at_least_one", report["EM_at_least_one"], EM_min=report["EM_min"]),
+                   check("rate_ratio_bounded", report["rate_ratio_bounded"],
+                         rate_ratio_max=report["rate_ratio_max"]),
+                   check("R_ladder_bounded", report["R_bounded"], ladder=report["R_ladder"])]
     return checks, {"eps": run_cfg.eps, "L_end": float(series.column("L")[-1]),
                     "Lambda_end": float(series.column("Lambda")[-1])}
 
@@ -416,6 +392,15 @@ _SWEEP = {
     "output_stride": (float, 0.05),
     "classical_dt": (float, lsw_classical.ClassicalRunConfig.dt, _positive),
 }
+
+
+# columns over the eps ladder, one value per run; and then the finite-difference
+# classical rate within 1% of the semi-analytic one
+_SWEEP_CHECKS = [
+    ("tail_distance_decreasing", strictly_decreasing, ("tail_distance",), {}),
+    ("L_gap_decreasing", strictly_decreasing, ("L_gap_max",), {}),
+    ("rate_gap_decreasing", strictly_decreasing, ("rate_gap",), {}),
+]
 
 
 def _parse_sweep(values: dict, refine: bool):
@@ -453,12 +438,17 @@ def _run_sweep(cls_cfg: lsw_classical.ClassicalRunConfig,
     rate_cls_sa = lsw_classical.rate_semi_analytic(cls_solver, big_t)
     rate_rel_err = abs(rate_cls_fd - rate_cls_sa) / abs(rate_cls_sa)
 
+    # the tail distance at T: sup over probes of |int_x^inf c_eps - w0(F(x, T))|
     probes = tail_quantile_probes(cls_cfg.tail)
+    tail_cls = np.atleast_1d(cls_solver.tail_value(probes, big_t))
     per_eps = []
     for run_cfg in diff_cfgs:
         series, _, snapshots, solver = lsw_diffusive.run_diffusive(run_cfg)
         t_snap, cbar = snapshots[0]
-        dist, table = tail_distance(solver, cbar, cls_solver, big_t, probes)
+        tail_eps = solver.tail_at(cbar, probes)
+        table = [{"x": float(x), "tail_diffusive": float(a), "tail_classical": float(b),
+                  "diff": float(a - b)} for x, a, b in zip(probes, tail_eps, tail_cls)]
+        dist = float(np.max(np.abs(tail_eps - tail_cls)))
         l_eps = np.interp(cls_series.times, series.times, series.column("L"))
         before = cls_series.times <= big_t
         l_gap = float(np.max(np.abs(l_eps[before] - cls_series.column("L")[before])))
@@ -468,21 +458,10 @@ def _run_sweep(cls_cfg: lsw_classical.ClassicalRunConfig,
         _write_snapshot(out_dir, f"density_eps{run_cfg.eps}.csv", "t,x_center,c", t_snap,
                         solver.grid.centers, cbar)
 
-    dists = [row["tail_distance"] for row in per_eps]
-    gaps = [row["L_gap_max"] for row in per_eps]
-    rate_gaps = [row["rate_gap"] for row in per_eps]
-    checks = [
-        _check("tail_distance_decreasing",
-               all(a > b for a, b in zip(dists, dists[1:])), values=dists),
-        _check("L_gap_decreasing",
-               all(a > b for a, b in zip(gaps, gaps[1:])), values=gaps),
-        _check("rate_gap_decreasing",
-               all(a > b for a, b in zip(rate_gaps, rate_gaps[1:])),
-               values=rate_gaps),
-        _check("classical_rate_consistency", rate_rel_err <= 0.01,
-               fd=rate_cls_fd, semi_analytic=rate_cls_sa,
-               rel_err=rate_rel_err, fd_window_smooth=fd_smooth),
-    ]
+    checks = run_checks(_SWEEP_CHECKS, {key: [row[key] for row in per_eps] for key in per_eps[0]})
+    checks.append(bounded("classical_rate_consistency", rate_rel_err, hi=0.01,
+                          fd=rate_cls_fd, semi_analytic=rate_cls_sa,
+                          rel_err=rate_rel_err, fd_window_smooth=fd_smooth))
     return checks, {"ladder": per_eps, "classical_rate_fd": rate_cls_fd,
                     "classical_rate_semi_analytic": rate_cls_sa}
 
@@ -504,11 +483,9 @@ def _payoff(spec):
 
 _MC = {
     "eps": (float, 0.25, _positive),
-    "T": (float, 0.25, _positive),
+    **_table(sde.McConfig),
     "n_cells": (int, 1024, _at_least(2)),
     "L": (float, 1.0),
-    "n_paths": (int, 200_000, _at_least(1)),
-    "dt": (float, 1e-3, _positive),
     "payoff": ((str, list), "one", _payoff),
     "x_max": (float, 30.0),
     "probes": (list[float], (0.25, 0.5, 1.0, 1.5, 2.5)),
@@ -517,10 +494,11 @@ _MC = {
 
 
 def _parse_mc(values: dict, refine: bool):
-    eps, big_t, x_max, seed = values["eps"], values["T"], values["x_max"], values["seed"]
-    mc_cfg = sde.McConfig(eps=eps, T=big_t, n_paths=values["n_paths"], dt=values["dt"],
-                          seed=seed, history=_get(values, "L", float, check=lambda v: (
-                              diagnostics.LHistory.constant(v, big_t))))
+    eps, x_max, seed = values["eps"], values["x_max"], values["seed"]
+    # McConfig checks T before L's history on [0, T] is built
+    checked = _config(sde.McConfig, values, eps=eps, seed=seed, history=None)
+    mc_cfg = _get(values, "L", float, check=lambda v: dataclasses.replace(
+        checked, history=diagnostics.LHistory.constant(v, checked.T)))
     grid = _get(values, "x_max", float, check=lambda v: lsw_diffusive.Grid.log_graded(
         eps, v, values["n_cells"]))
     # a path started at 0 is absorbed at once, and past x_max the adjoint
@@ -540,24 +518,23 @@ def _run_mc(mc_cfg: sde.McConfig, payoff, probes: list[float], grid: lsw_diffusi
     w_pde = lsw_diffusive.adjoint_solve(
         sde.payoff_function(payoff), mc_cfg.T, mc_cfg.history, mc_cfg.eps, grid)
     records = []
-    agree = 0
     for i, x0 in enumerate(probes):
         est = sde.estimate_survival_payoff(
             dataclasses.replace(mc_cfg, seed=mc_cfg.seed + i), payoff, x0)
         pde_val = float(np.interp(x0, grid.centers, w_pde))
         gap = abs(est.mean - pde_val)
         band = 3.0 * (est.stderr + grid_tol)
-        ok = gap <= band
-        agree += ok
         records.append({
             "payoff": payoff, "x_start": x0, "T": mc_cfg.T, "eps": mc_cfg.eps,
             "n_paths": mc_cfg.n_paths, "mean": est.mean, "stderr": est.stderr,
             "seed": mc_cfg.seed + i, "pde": pde_val, "gap": gap, "band": band,
-            "within_band": ok,
+            "within_band": bounded("within_band", gap, hi=band)["passed"],
         })
     _write_json(os.path.join(out_dir, "mc_estimates.json"), records)
-    return [_check("mc_vs_adjoint", agree >= max(1, len(probes) - 1), agree=agree,
-                   total=len(probes))], {"records": records}
+    agree = sum(record["within_band"] for record in records)
+    # every probe but one, and at least one, within its band
+    return [bounded("mc_vs_adjoint", agree, lo=max(1, len(probes) - 1), agree=agree,
+                    total=len(probes))], {"records": records}
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +549,8 @@ _DUALITY = {
              "limiter"),
     "eps": (float, 0.25),
     "n_cells": (int, 2048),
-    # T is the forward run's t_end; name T if it is too short for a step
-    "T": (float, 0.5, lambda v: _require(
-        v > diagnostics.T_SLACK,
-        f"must exceed {diagnostics.T_SLACK:g}, or the run takes no step, got {v!r}")),
+    # T is the forward run's t_end and output stride; name T if it is too short for a step
+    "T": (float, 0.5, lambda v: diagnostics.check_window(v, v)),
     "tolerance": (float, 1e-4, _positive),
     "indicator_x0": (float, 1.0),
 }
@@ -612,18 +587,16 @@ def _duality_residuals(run_cfg: lsw_diffusive.DiffusiveRunConfig, x0_ind: float)
 def _run_duality(runs: list[lsw_diffusive.DiffusiveRunConfig], tol: float,
                  x0_ind: float, out_dir: str) -> Outcome:
     base = _duality_residuals(runs[0], x0_ind)
-    checks = [
-        _check(f"duality_residual_{name}", vals["residual"] <= tol,
-               residual=vals["residual"], tolerance=tol)
-        for name, vals in base.items()
-    ]
+    checks = [bounded(f"duality_residual_{name}", vals["residual"], hi=tol,
+                      residual=vals["residual"], tolerance=tol)
+              for name, vals in base.items()]
     summary = {"n_cells": runs[0].n_cells, "residuals": base}
     if len(runs) > 1:
         fine = _duality_residuals(runs[1], x0_ind)
         ratios = {name: fine[name]["residual"] / max(base[name]["residual"], 1e-300)
                   for name in base}
-        checks.append(_check("duality_residual_halving", 0.35 <= ratios["one"] <= 0.65,
-                             ratios=ratios))
+        checks.append(bounded("duality_residual_halving", ratios["one"], lo=0.35, hi=0.65,
+                              ratios=ratios))
         summary["refined_residuals"] = fine
         summary["refinement_ratios"] = ratios
     return checks, summary

@@ -39,7 +39,6 @@ __all__ = [
     "ClassicalRunConfig",
     "ClassicalSolver",
     "characteristic_backward",
-    "characteristic_jacobian",
     "rate_semi_analytic",
     "run_classical",
 ]
@@ -172,11 +171,6 @@ def _foot_and_jacobian(x: float, t: float, history: LHistory) -> tuple[float, fl
 def characteristic_backward(x: float, t: float, history: LHistory) -> float:
     """Foot F(x,t) of the backward characteristic ending at x at time t."""
     return float(_backward_feet(np.array([float(x)]), t, history)[0])
-
-
-def characteristic_jacobian(x: float, t: float, history: LHistory) -> float:
-    """dF/dx along the backward characteristic ending at x at time t."""
-    return _foot_and_jacobian(x, t, history)[1]
 
 
 @dataclass

@@ -24,7 +24,7 @@ from __future__ import annotations
 import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -34,30 +34,34 @@ from .diagnostics import LHistory
 __all__ = [
     "McConfig",
     "McEstimate",
-    "simulate_path",
     "estimate_survival_payoff",
     "exit_time_histogram",
     "payoff_function",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class McConfig:
+    """A field with ``json`` metadata is an ``mc-check`` config key: its JSON type and default."""
+
     eps: float
     history: LHistory
-    T: float
-    n_paths: int
-    dt: float
+    T: float = field(default=0.25, metadata={"json": float})
+    n_paths: int = field(default=200_000, metadata={"json": int})
+    dt: float = field(default=1e-3, metadata={"json": float})
     seed: int
     boundary: str = "bridge"  # or "naive"
 
-    def __post_init__(self):
+    def validate(self) -> None:
         if self.eps < 0:
             raise ValueError("eps must be nonnegative (0 = noise-free mode)")
         if self.n_paths < 1 or self.dt <= 0 or self.T <= 0:
-            raise ValueError("need n_paths >= 1, dt > 0, T > 0")
+            raise ValueError(f"need n_paths >= 1, dt > 0, T > 0, got n_paths {self.n_paths}, "
+                             f"dt {self.dt}, T {self.T}")
         if self.boundary not in ("bridge", "naive"):
             raise ValueError(f"unknown boundary scheme {self.boundary!r}")
+
+    __post_init__ = validate  # a McConfig is checked when it is made
 
     @property
     def n_steps(self) -> int:
@@ -194,14 +198,6 @@ def _simulate_batch(
     x_fin = np.zeros(n)
     x_fin[idx] = x
     return alive, x_fin, exit_t
-
-
-def simulate_path(config: McConfig, x_start: float) -> tuple[bool, float]:
-    """One path: (absorbed, exit_time) if absorbed else (False, final position)."""
-    alive, x_fin, exit_t = _simulate_batch(config, np.array([x_start]))
-    if alive[0]:
-        return False, float(x_fin[0])
-    return True, float(exit_t[0])
 
 
 def estimate_survival_payoff(config: McConfig, payoff, x_start: float) -> McEstimate:

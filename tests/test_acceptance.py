@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from coarsenlab import bd, initial_data
+from coarsenlab import bd, diagnostics, initial_data
 from coarsenlab.diagnostics import LHistory, kohn_otto_report
 from coarsenlab.harness import run_experiment
 from coarsenlab.lsw_classical import characteristic_backward
@@ -216,9 +216,9 @@ def test_10_monotone_functionals(verdict, bd_dirichlet_run,
         ("diffusive-long", coarsening_long_run[0]),
     ):
         lam = series.column("Lambda")
-        big_l = series.column("L")
-        mono = bool(np.all(np.diff(lam) >= -1e-10 * np.abs(lam[:-1])))
-        below = bool(np.all(big_l <= lam * (1 + 1e-8)))
+        mono = diagnostics.nondecreasing("Lambda_nondecreasing", lam, rtol=1e-10)["passed"]
+        below = diagnostics.bounded("L_below_Lambda", series.column("L"), lam,
+                                    rtol=1e-8)["passed"]
         ok = ok and mono and below
         details.append(f"{label}:{'ok' if mono and below else 'BAD'}")
     verdict(10, "Lambda nondecreasing and L <= Lambda on every reference run",

@@ -13,12 +13,18 @@ from coarsenlab.lsw_classical import (
     ClassicalSolver,
     _backward_feet,
     _fixed_point_start,
+    _foot_and_jacobian,
     _interp_reader,
     characteristic_backward,
-    characteristic_jacobian,
     rate_semi_analytic,
     run_classical,
 )
+
+
+def characteristic_jacobian(x, t, history):
+    """dF/dx along the backward characteristic ending at x at time t."""
+    return _foot_and_jacobian(x, t, history)[1]
+
 
 # Initial transport parameter for c0 = x e^{-x}/2:
 # L0^{1/3} = (Gamma(1/3) + Gamma(4/3)) / 3, evaluated with mpmath (50 digits).

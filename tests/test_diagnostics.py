@@ -10,12 +10,19 @@ from coarsenlab.diagnostics import (
     MASS_TOL,
     T_SLACK,
     TrajectorySeries,
+    above,
+    bounded,
     clip_negatives,
     coarsening_rate,
     kohn_otto_report,
     march,
+    max_drift,
     moments,
+    nondecreasing,
+    nonincreasing,
     output_times,
+    run_checks,
+    strictly_decreasing,
 )
 
 # Moments of c0 = x e^{-x}/2: the 2/3-moment is Gamma(8/3)/2 and the
@@ -151,6 +158,94 @@ class TestKohnOttoReport:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             kohn_otto_report(_power_law_series(n=5))
+
+
+_VALUES = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=12).map(np.array)
+_SLACKS = st.sampled_from([0.0, 1e-12, 1e-10, 1e-8, 0.5])
+
+
+class TestInvariants:
+    # each invariant against the inline expression a check used before it
+    @given(_VALUES, _SLACKS)
+    def test_monotone_rules(self, x, slack):
+        assert nondecreasing("a", x, atol=slack)["passed"] == bool(np.all(np.diff(x) >= -slack))
+        assert nondecreasing("a", x, rtol=slack)["passed"] == bool(
+            np.all(np.diff(x) >= -slack * np.abs(x[:-1])))
+        assert nonincreasing("a", x, slack, "E")["passed"] == bool(np.all(np.diff(x) <= slack))
+        assert strictly_decreasing("a", x)["passed"] == all(a > b for a, b in zip(x, x[1:]))
+
+    @given(_VALUES, _SLACKS, st.floats(-1e3, 1e3))
+    def test_bound_rules(self, x, slack, ref):
+        bound = x[::-1]
+        assert bounded("a", x, bound, rtol=slack)["passed"] == bool(
+            np.all(x <= bound * (1 + slack)))
+        assert bounded("a", x, lo=-slack)["passed"] == (float(np.min(x)) >= -slack)
+        assert bounded("a", x, lo=slack, hi=ref)["passed"] == all(slack <= v <= ref for v in x)
+        assert above("a", x, ref, "c1")["passed"] == bool(np.all(x > ref))
+        drift = float(np.max(np.abs(x - ref)))
+        assert max_drift("a", x, ref, tol=slack) == {
+            "name": "a", "passed": drift <= slack * max(ref, 1.0), "max_drift": drift}
+        resid = float(np.max(np.abs(x)))
+        assert max_drift("a", x, tol=slack) == {
+            "name": "a", "passed": resid <= slack, "max_residual": resid}
+
+    def test_slack_boundaries(self):
+        # a step down by exactly the slack passes, one rounding step more fails
+        assert nondecreasing("a", np.array([1.0, 0.75]), atol=0.25)["passed"]
+        assert not nondecreasing("a", np.array([1.0, np.nextafter(0.75, 0.0)]), atol=0.25)["passed"]
+        # the relative slack scales with the value the step leaves
+        assert nondecreasing("a", np.array([4.0, 2.0]), rtol=0.5)["passed"]
+        assert not nondecreasing("a", np.array([2.0, 0.9]), rtol=0.5)["passed"]
+        assert nonincreasing("a", np.array([1.0, 1.5]), 0.5, "E")["passed"]
+        assert not strictly_decreasing("a", np.array([2.0, 1.0, 1.0]))["passed"]
+        assert bounded("a", np.array([1.5]), np.array([1.0]), rtol=0.5)["passed"]
+        assert not bounded("a", np.array([1.5]), np.array([1.0]), rtol=0.25)["passed"]
+        assert not above("a", np.array([2.0, 1.0]), 1.0, "c1")["passed"]
+        # the drift tolerance is relative to max(ref, 1): absolute below 1
+        assert max_drift("a", np.array([4.0, 4.0 + 2e-8]), 4.0, tol=1e-8)["passed"]
+        assert not max_drift("a", np.array([0.5, 0.5 + 2e-8]), 0.5, tol=1e-8)["passed"]
+
+    def test_nan_fails(self):
+        x = np.array([1.0, np.nan, 0.5])
+        assert not nondecreasing("a", x)["passed"]
+        assert not nonincreasing("a", x, 1.0, "E")["passed"]
+        assert not strictly_decreasing("a", x)["passed"]
+        assert not bounded("a", x, hi=2.0)["passed"]
+        assert not above("a", x, 0.0, "c1")["passed"]
+        assert not max_drift("a", x, tol=1.0)["passed"]
+
+    def test_reported_values(self):
+        x = np.array([3.0, 2.0, 1.0])
+        assert nonincreasing("E_nonincreasing", x, 0.0, "E") == {
+            "name": "E_nonincreasing", "passed": True, "E_first": 3.0, "E_last": 1.0}
+        assert strictly_decreasing("g_strictly_decreasing", x, "g") == {
+            "name": "g_strictly_decreasing", "passed": True, "g_first": 3.0, "g_last": 1.0}
+        assert strictly_decreasing("gaps", [3.0, 2.0]) == {
+            "name": "gaps", "passed": True, "values": [3.0, 2.0]}
+        assert above("c1_above", x, 0.0, "c1") == {"name": "c1_above", "passed": True,
+                                                    "min_c1": 1.0}
+        assert bounded("r", 0.5, hi=1.0, residual=0.5) == {"name": "r", "passed": True,
+                                                           "residual": 0.5}
+        assert nondecreasing("Lambda", x[::-1]) == {"name": "Lambda", "passed": True}
+
+    def test_run_checks_applies_each_row_in_order(self):
+        data = {"L": np.array([1.0, 2.0]), "Lambda": np.array([1.5, 2.0]), "ref": 2.0}
+        rows = [("below", bounded, ("L", "Lambda"), {"rtol": 0.0}),
+                ("rising", nondecreasing, ("L",), {}),
+                ("drift", max_drift, ("L", "ref"), {"tol": 0.25})]
+        assert run_checks(rows, data) == [
+            {"name": "below", "passed": True},
+            {"name": "rising", "passed": True},
+            {"name": "drift", "passed": False, "max_drift": 1.0}]
+
+    def test_report_e_rule_is_the_invariant(self):
+        # kohn_otto_report's slack on E is relative to max(1, max |E|)
+        series = _power_law_series()
+        e = series.columns["E"] = 100.0 * series.columns["E"]
+        e[5] = e[4] + 0.5e-10  # a rise under 1e-12 * max|E| = 1.2e-10
+        assert kohn_otto_report(series)["E_nonincreasing"]
+        e[5] = e[4] + 2e-10
+        assert not kohn_otto_report(series)["E_nonincreasing"]
 
 
 class TestCoarseningRate:

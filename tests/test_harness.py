@@ -78,6 +78,11 @@ CONFIG_FAULTS = [
      "ell_max"),
     ("mc-check", {"n_paths": "abc"}, "n_paths"),
     ("mc-check", {"payoff": "nope"}, "payoff"),
+    # McConfig checks T, n_paths and dt; T before L's history on [0, T] is built
+    ("mc-check", {"T": -1.0}, "T -1.0"),
+    ("mc-check", {"dt": 0.0}, "dt 0.0,"),
+    ("mc-check", {"n_paths": 0}, "n_paths 0,"),
+    ("mc-check", {"L": 1e-9}, "L:"),
     # nothing to compare: a probe absorbed at once, or past the adjoint grid
     ("mc-check", {"probes": []}, "probes"),
     ("mc-check", {"probes": [-1.0, 0.5]}, "probes"),
@@ -297,6 +302,32 @@ class TestEffectiveConfig:
             for kind, (table, _) in KINDS.items()
         }
 
+    def test_readme_check_tables(self):
+        # README.md holds one table per row list,
+        # "| `check` | `invariant` | columns | tolerance |"
+        def tolerance(keywords):
+            return " ".join(f"`{key}={value!r}`" for key, value in keywords.items()
+                            if key != "label") or "none"
+
+        text = open(README).read()
+        documented = {
+            (kind, suffix): [tuple(cell.strip() for cell in row.split("|")[1:5])
+                             for row in body.splitlines()[2:]]
+            for kind, suffix, body in re.findall(
+                r"^#### `([a-z-]+)` checks(.*)\n\n((?:\|.*\n)+)", text, re.M)
+        }
+        rows = {("bd", ", full closure"): harness._BD_CHECKS,
+                ("bd", ", Dirichlet closure"): harness._DIRICHLET_CHECKS,
+                ("classical", ""): harness._CLASSICAL_CHECKS,
+                ("diffusive", ""): harness._DIFFUSIVE_CHECKS,
+                ("sweep", ""): harness._SWEEP_CHECKS}
+        assert documented == {
+            key: [(f"`{name}`", f"`{invariant.__name__}`",
+                   ", ".join(f"`{col}`" for col in columns), tolerance(keywords))
+                  for name, invariant, columns, keywords in table]
+            for key, table in rows.items()
+        }
+
 
 class TestSolverFailure:
     def test_unexpected_exception_exits_3(self, tmp_path, monkeypatch):
@@ -307,6 +338,31 @@ class TestSolverFailure:
         assert run_experiment({"kind": "diffusive", "eps": 0.25}, str(tmp_path)) == 3
         summary = json.load(open(tmp_path / "summary.json"))
         assert summary["error"] == {"type": "ZeroDivisionError", "message": "injected"}
+
+    def test_saturated_bd_run_aborts_alike_under_both_schemes(self, tmp_path):
+        # both schemes test the density at the cutoff: the semi-implicit one
+        # after every step, the explicit one at every output time
+        errors = []
+        for scheme in ("semi-implicit", "explicit-adaptive"):
+            cfg = {"kind": "bd", "ell_max": 20, "closure": {"type": "dirichlet"},
+                   "initial": {"kind": "bins", "entries": [[15, 1.0]]}, "t_end": 20.0,
+                   "scheme": scheme}
+            out = tmp_path / scheme
+            assert run_experiment(cfg, str(out)) == 3
+            errors.append(json.load(open(out / "summary.json"))["error"])
+        number = r"\d[-+.\de]*"
+        assert [re.sub(number, "#", error["message"]) for error in errors] == [
+            "truncation saturation: c_ell_max = # at t = #; increase ell_max"] * 2
+        assert errors[0]["type"] == errors[1]["type"] == "BdRunError"
+
+    @pytest.mark.parametrize("closure, rows", [
+        ({"type": "full"}, harness._BD_CHECKS),
+        ({"type": "dirichlet"}, harness._DIRICHLET_CHECKS)])
+    def test_bd_checks_follow_the_closure(self, closure, rows, tmp_path):
+        cfg = {"kind": "bd", **TINY["bd"][0], "closure": closure}
+        assert run_experiment(cfg, str(tmp_path)) == 0
+        checks = json.load(open(tmp_path / "summary.json"))["checks"]
+        assert [check["name"] for check in checks] == [row[0] for row in rows]
 
     def test_saturated_bd_run(self, tmp_path):
         # mass parked at the truncation cutoff trips the saturation monitor

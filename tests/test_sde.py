@@ -13,8 +13,13 @@ from coarsenlab.sde import (
     estimate_survival_payoff,
     exit_time_histogram,
     payoff_function,
-    simulate_path,
 )
+
+
+def simulate_path(config, x_start):
+    """One path: (absorbed, exit_time) if absorbed else (False, final position)."""
+    alive, x_fin, exit_t = _simulate_batch(config, np.array([x_start]))
+    return (False, float(x_fin[0])) if alive[0] else (True, float(exit_t[0]))
 
 
 def deterministic_exit_time(x: float) -> float:

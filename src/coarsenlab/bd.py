@@ -22,8 +22,8 @@ the root.  The step size is controlled by Milne's device: a quadratic
 predictor through the previous accepted state, the current one and the slope
 there gives the trapezoid's local error from the one step each attempt takes,
 so an attempt costs one root-find.  ``diagnostics.march`` clips the steps to
-the output times and aborts on mass drift.  An adaptive explicit cross-check
-runs ``solve_ivp`` from stop to stop in the same loop, with the same aborts.
+the output times and aborts on mass drift.  ``tests/test_bd.py`` checks the
+scheme against DOP853 over ``bd_rhs``.
 
 The model functions work on plain arrays.  ``bd_rhs`` takes the densities
 c_ell for ell = 1..ell_max, whose first entry is the monomer slot; the monomer
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .banded import bracket, matvec, shifted, solve_banded
@@ -74,11 +73,23 @@ class BdRunError(RuntimeError):
 @dataclass(frozen=True)
 class FullClosure:
     rho: float
+    name = "full"
+
+    @property
+    def mass(self) -> float:
+        return self.rho
+
+    def c1(self, c: np.ndarray, model: RateModel) -> float:
+        return monomer_closure_full(c, self.rho)
 
 
 @dataclass(frozen=True)
 class DirichletClosure:
-    pass
+    name = "dirichlet"
+    mass = 1.0  # on ell >= 2; the state holds no monomers
+
+    def c1(self, c: np.ndarray, model: RateModel) -> float:
+        return monomer_closure_dirichlet(c, model)
 
 
 @dataclass
@@ -90,7 +101,6 @@ class BdRunConfig:
     initial: np.ndarray  # gamma_ell, ell = 1..ell_max
     t_end: float = field(default=10.0, metadata={"json": float})
     dt_init: float = field(default=1e-3, metadata={"json": float})
-    scheme: str = field(default="semi-implicit", metadata={"json": str})  # or "explicit-adaptive"
     output_stride: float = field(default=0.5, metadata={"json": float})
 
     def validate(self) -> None:
@@ -99,16 +109,16 @@ class BdRunConfig:
             raise ValueError("initial data must be a 1-D array")
         if np.any(gamma < 0):
             raise ValueError("initial data must be nonnegative")
-        full = isinstance(self.closure, FullClosure)
-        if not full and gamma[0] != 0.0:
+        if isinstance(self.closure, DirichletClosure) and gamma[0] != 0.0:
             raise ValueError("dirichlet closure requires gamma_1 = 0")
-        # the mass is rho for the full closure, and 1 on ell >= 2 for the Dirichlet one
-        ref = self.closure.rho if full else 1.0
+        ref = self.closure.mass
         mass = float(np.arange(1, len(gamma) + 1) @ gamma)
         if not np.isclose(mass, ref, rtol=1e-10, atol=1e-12):
             raise ValueError(f"the closure requires sum ell*gamma_ell = {ref}, got {mass}")
-        if self.scheme not in ("semi-implicit", "explicit-adaptive"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        bound = truncation_bound(ref, len(gamma))
+        if not gamma[-1] <= bound:
+            raise ValueError(f"ell_max: the initial density there, {gamma[-1]:.3e}, already "
+                             f"exceeds the truncation bound {bound:.3e}; increase ell_max")
         check_window(self.t_end, self.output_stride)
         if self.dt_init <= 0:
             raise ValueError("dt_init must be positive")
@@ -149,12 +159,10 @@ def bd_rhs(
     """
     # fluxes J_ell = a_ell c1 c_ell - b_(ell+1) c_(ell+1), 0 at the cutoff; the
     # c_1 in J_1 is c1 for the full closure and 0 for the Dirichlet closure
+    full = isinstance(closure, FullClosure)
     cc = c.copy()
-    if isinstance(closure, FullClosure):
-        c1 = cc[0] = monomer_closure_full(c[1:], closure.rho)
-    else:
-        c1 = monomer_closure_dirichlet(c[1:], model)
-        cc[0] = 0.0
+    c1 = closure.c1(c[1:], model)
+    cc[0] = c1 if full else 0.0
     ells = np.arange(1, len(c) + 1, dtype=float)
     a = model.attach(ells)
     b = model.detach(ells)
@@ -162,7 +170,7 @@ def bd_rhs(
     j[:-1] = a[:-1] * c1 * cc[:-1] - b[1:] * cc[1:]
     dc = np.zeros_like(c)
     dc[1:] = j[:-1] - j[1:]
-    if isinstance(closure, FullClosure):
+    if full:
         dc[0] = -(j[0] + j.sum())
     return dc
 
@@ -291,8 +299,7 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
 
     Snapshots are (t, c) pairs with c indexed ell = 1..ell_max, taken at the
     ``output_times`` by ``march``, which raises RuntimeError on mass drift.
-    Both schemes abort (BdRunError) on density at the cutoff, the semi-implicit
-    one on step-size underflow too; the explicit one clips negatives at each stop.
+    A run aborts (BdRunError) on step-size underflow and on density at the cutoff.
     """
     config.validate()
     model, closure = config.model, config.closure
@@ -300,55 +307,37 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
     gamma = np.asarray(config.initial, dtype=float)
     ell_max = len(gamma)
     ells = np.arange(2, ell_max + 1, dtype=float)
-    bound = truncation_bound(closure.rho if full else 1.0, ell_max)
+    bound = truncation_bound(closure.mass, ell_max)
+    tri = _Tridiag(model, ell_max, full)
     c = gamma[1:].copy()
-    rows, snapshots = [], []
+    dt = config.dt_init
+    rows, snapshots, neg_log = [], [], []
+    previous = None  # (state, step) of the last accepted step
 
     def record(t: float, _) -> None:
         rows.append(_row(t, c, config, ells))
         # the snapshot's monomer slot holds the full closure's c1; the Dirichlet state has none
         snapshots.append((t, np.concatenate(([rows[-1]["c1"] if full else 0.0], c))))
 
-    if config.scheme == "explicit-adaptive":
-        def attempt(t: float, h: float, clipped: bool) -> float:
-            nonlocal c
-            sol = solve_ivp(lambda _, y: bd_rhs(np.concatenate(([0.0], y)), model, closure)[1:],
-                            (t, t + h), c, method="DOP853", rtol=1e-10, atol=_ATOL)
-            if not sol.success:
-                raise BdRunError(f"explicit integration failed: {sol.message}")
-            c = np.maximum(sol.y[:, -1], 0.0)
-            return h
-
-        dt = np.inf  # each step runs to the next stop
-    else:
-        tri = _Tridiag(model, ell_max, full)
-        dt = config.dt_init
-        neg_log: list[float] = []
-        previous = None  # (state, step) of the last accepted step
-
-        def attempt(t: float, h: float, clipped: bool) -> float:
-            nonlocal c, dt, previous
-            c1 = _monomer_density(c, config)
-            slope = tri.rate(c, c1)
-            while True:
-                if h < 1e-14:
-                    raise BdRunError(f"step size underflow at t = {t}")
-                c_new, _ = _step_semi_implicit(c, h, model, closure, tri, ells, c1)
-                est = _local_error(c, c_new, slope, h, previous)
-                scale = _ATOL + _RTOL * np.maximum(np.abs(c), np.abs(c_new))
-                err = float(np.max(np.abs(est) / scale))
-                committed = clip_negatives(c_new, neg_log) if err <= 1.0 else None
-                if committed is not None:
-                    break
-                clipped = False
-                h *= 0.5 if err <= 1.0 else max(0.2, 0.9 * err ** (-1.0 / 3.0))
-            previous, c = (c, h), committed
-            cand = h * min(4.0, max(0.2, 0.9 * (max(err, 1e-12)) ** (-1.0 / 3.0)))
-            dt = max(cand, dt) if clipped else cand
-            return h
-
     def step(t: float, h: float, clipped: bool) -> float:
-        h = attempt(t, h, clipped)
+        nonlocal c, dt, previous
+        c1 = closure.c1(c, model)
+        slope = tri.rate(c, c1)
+        while True:
+            if h < 1e-14:
+                raise BdRunError(f"step size underflow at t = {t}")
+            c_new, _ = _step_semi_implicit(c, h, model, closure, tri, ells, c1)
+            est = _local_error(c, c_new, slope, h, previous)
+            scale = _ATOL + _RTOL * np.maximum(np.abs(c), np.abs(c_new))
+            err = float(np.max(np.abs(est) / scale))
+            committed = clip_negatives(c_new, neg_log) if err <= 1.0 else None
+            if committed is not None:
+                break
+            clipped = False
+            h *= 0.5 if err <= 1.0 else max(0.2, 0.9 * err ** (-1.0 / 3.0))
+        previous, c = (c, h), committed
+        cand = h * min(4.0, max(0.2, 0.9 * (max(err, 1e-12)) ** (-1.0 / 3.0)))
+        dt = max(cand, dt) if clipped else cand
         if c[-1] > bound:
             raise BdRunError(f"truncation saturation: c_ell_max = {c[-1]:.3e} at "
                              f"t = {t + h}; increase ell_max")
@@ -356,27 +345,17 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
 
     march(output_times(config.t_end, config.output_stride), lambda: dt, step, record,
           lambda: float(ells @ c) + (monomer_closure_full(c, closure.rho) if full else 0.0))
-    provenance = f"bd:{'full' if full else 'dirichlet'}:{config.scheme}"
-    return TrajectorySeries.from_rows(rows, provenance), snapshots
-
-
-def _monomer_density(c: np.ndarray, config: BdRunConfig) -> float:
-    """The closure's monomer density at the cluster densities ``c``."""
-    if isinstance(config.closure, FullClosure):
-        return monomer_closure_full(c, config.closure.rho)
-    return monomer_closure_dirichlet(c, config.model)
+    return TrajectorySeries.from_rows(rows, f"bd:{closure.name}:semi-implicit"), snapshots
 
 
 def _row(t: float, c: np.ndarray, config: BdRunConfig, ells: np.ndarray) -> dict:
     """The series row of the cluster densities ``c`` (ell = 2..ell_max) at t."""
-    c1 = _monomer_density(c, config)
+    c1 = config.closure.c1(c, config.model)
     # size-1 clusters add c1 to every moment; the Dirichlet state holds none
     monomers = c1 if isinstance(config.closure, FullClosure) else 0.0
     number, mass, energy, scale = (monomers + m for m in moments(ells, c))
     lam = mass / number if number > 0 else np.nan
-    if c1 > config.model.z_s:
-        ell_scale = (config.model.q / (c1 - config.model.z_s)) ** 3
-    else:
-        ell_scale = np.nan
+    z_s = config.model.z_s
+    ell_scale = (config.model.q / (c1 - z_s)) ** 3 if c1 > z_s else np.nan
     return {"t": t, "mass": mass, "c1": c1, "g": float(c.sum()), "Lambda": lam,
             "L": ell_scale, "E": energy, "M": scale, "N": number}

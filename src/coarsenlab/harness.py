@@ -243,17 +243,13 @@ def _parse_bd(values: dict, refine: bool):
         closure["rho"] = float(np.arange(1, ell_max + 1) @ gamma)
     if not full:
         gamma[0] = 0.0
-    bound = bd_mod.truncation_bound(closure["rho"] if full else 1.0, ell_max)
-    _require(gamma[-1] <= bound,
-             f"ell_max: the initial density there, {gamma[-1]:.3e}, already exceeds "
-             f"the truncation bound {bound:.3e}; increase ell_max")
     return functools.partial(_run_bd, _config(
         bd_mod.BdRunConfig, values, model=model, initial=gamma,
         closure=bd_mod.FullClosure(closure["rho"]) if full else bd_mod.DirichletClosure()))
 
 
 # the columns a bd run is checked on: its series, "c_min" the least density of
-# each snapshot, "mass_ref" the mass it conserves (rho, or 1 on ell >= 2) and "z_s"
+# each snapshot, "mass_ref" the closure's mass and "z_s"
 _BD_CHECKS = [
     ("mass_conservation", max_drift, ("mass", "mass_ref"), {"tol": 1e-8}),
     ("nonnegativity", bounded, ("c_min",), {"lo": -1e-12}),
@@ -275,11 +271,11 @@ def _run_bd(run_cfg: bd_mod.BdRunConfig, out_dir: str) -> Outcome:
     for idx, (t, c) in enumerate(snapshots):
         _write_snapshot(out_dir, f"bd_{idx:04d}.csv", "t,ell,c", t,
                         np.arange(1, len(c) + 1), c)
-    full = isinstance(run_cfg.closure, bd_mod.FullClosure)
-    checks = run_checks(_BD_CHECKS if full else _DIRICHLET_CHECKS, {
+    closure = run_cfg.closure
+    checks = run_checks(_BD_CHECKS if closure.name == "full" else _DIRICHLET_CHECKS, {
         **series.columns, "c_min": np.array([c.min() for _, c in snapshots]),
-        "mass_ref": run_cfg.closure.rho if full else 1.0, "z_s": run_cfg.model.z_s})
-    return checks, {"closure": "full" if full else "dirichlet",
+        "mass_ref": closure.mass, "z_s": run_cfg.model.z_s})
+    return checks, {"closure": closure.name,
                     "ell_max": len(run_cfg.initial), "mass_drift": checks[0]["max_drift"]}
 
 
@@ -481,6 +477,15 @@ def _payoff(spec):
                       f"got {reprlib.repr(spec)}")
 
 
+def _grid_payoff(spec, grid: lsw_diffusive.Grid) -> np.ndarray:
+    """A read payoff on the cell centers; an indicator is smoothed over its cell."""
+    if spec == "one":
+        return np.ones(grid.n_cells)
+    if spec == "cuberoot":
+        return np.cbrt(grid.centers)
+    return lsw_diffusive.smoothed_indicator(grid, spec[1])
+
+
 _MC = {
     "eps": (float, 0.25, _positive),
     **_table(sde.McConfig),
@@ -516,7 +521,7 @@ def _parse_mc(values: dict, refine: bool):
 def _run_mc(mc_cfg: sde.McConfig, payoff, probes: list[float], grid: lsw_diffusive.Grid,
             grid_tol: float, out_dir: str) -> Outcome:
     w_pde = lsw_diffusive.adjoint_solve(
-        sde.payoff_function(payoff), mc_cfg.T, mc_cfg.history, mc_cfg.eps, grid)
+        _grid_payoff(payoff, grid), mc_cfg.T, mc_cfg.history, mc_cfg.eps, grid)
     records = []
     for i, x0 in enumerate(probes):
         est = sde.estimate_survival_payoff(
@@ -569,12 +574,8 @@ def _duality_residuals(run_cfg: lsw_diffusive.DiffusiveRunConfig, x0_ind: float)
     _, c_final = snapshots[-1]
     grid = solver.grid
     c0 = initial_data.cell_averages(run_cfg.tail, grid.edges)
-    payoffs = {
-        "one": np.ones(grid.n_cells),
-        "cuberoot": np.cbrt(grid.centers),
-        "indicator": lsw_diffusive.smoothed_indicator(grid, x0_ind),
-    }
-    w_t = np.column_stack(list(payoffs.values()))
+    payoffs = {"one": "one", "cuberoot": "cuberoot", "indicator": ("indicator", x0_ind)}
+    w_t = np.column_stack([_grid_payoff(spec, grid) for spec in payoffs.values()])
     w_0 = lsw_diffusive.adjoint_solve(w_t, run_cfg.t_end, history, run_cfg.eps, grid)
     out = {}
     for j, name in enumerate(payoffs):

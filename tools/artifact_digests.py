@@ -56,10 +56,10 @@ CONFIGS = [
     ("bd full", {"kind": "bd", "closure": {"type": "full"}, "ell_max": 200,
                  "initial": {"kind": "bins", "entries": [[ell, 1.0] for ell in range(2, 21)]},
                  "t_end": 5.0, "output_stride": 0.25}, None, False),
-    # clusters reach the cutoff; the explicit scheme aborts there as the default one does
-    ("bd explicit saturation", {"kind": "bd", "ell_max": 20, "closure": {"type": "dirichlet"},
-                                "initial": {"kind": "bins", "entries": [[15, 1.0]]},
-                                "t_end": 20.0, "scheme": "explicit-adaptive"}, None, False),
+    # clusters reach the cutoff, so the run aborts with "truncation saturation" (exit 3)
+    ("bd saturation", {"kind": "bd", "ell_max": 20, "closure": {"type": "dirichlet"},
+                       "initial": {"kind": "bins", "entries": [[15, 1.0]]}, "t_end": 20.0},
+     None, False),
     # snapshot stops between and on the output times
     ("diffusive snapshots", {"kind": "diffusive", "eps": 0.2, "n_cells": 64, "t_end": 0.5,
                              "output_stride": 0.1, "snapshot_times": [0.15, 0.3]},

@@ -14,6 +14,7 @@ diffusive steppers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,12 +132,17 @@ class LHistory:
         )
 
 
-def write_csv(path, header: str, rows: np.ndarray) -> None:
-    """Write the rows of a 2-D array as ``repr(float(v))``, ',' delimited, LF endings."""
+def write_csv(path, header: str, rows: np.ndarray, lead=None) -> None:
+    """Write the rows of a 2-D array as ``repr(float(v))``, ',' delimited, LF endings.
+
+    ``lead``, if given, holds one string per row, written before it: the
+    leading columns, already formatted the same way, each ending in ','.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows.tolist():  # Python floats, converted in one pass
-            fh.write(",".join(map(repr, row)) + "\n")
+        # Python floats, converted in one pass
+        for head, row in zip(lead or itertools.repeat(""), rows.tolist()):
+            fh.write(head + ",".join(map(repr, row)) + "\n")
 
 
 def output_times(t_end: float, stride: float) -> np.ndarray:

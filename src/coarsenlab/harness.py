@@ -172,13 +172,18 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_snapshot(out_dir: str, name: str, header: str, t: float,
-                    x: np.ndarray, values: np.ndarray) -> None:
-    """``snapshots/<name>`` with the rows (t, x_i, values_i)."""
+def _write_snapshots(out_dir: str, header: str, x: np.ndarray, snapshots) -> None:
+    """``snapshots/<name>`` with the rows (t, x_i, values_i) for each (name, t, values).
+
+    ``x`` is formatted once for every file, and ``t`` once per file.
+    """
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
-    write_csv(os.path.join(snap_dir, name), header,
-              np.column_stack((np.full(len(x), t), x, values)))
+    x_cells = [repr(v) + "," for v in np.asarray(x, dtype=float).tolist()]
+    for name, t, values in snapshots:
+        t_cell = repr(float(t)) + ","
+        write_csv(os.path.join(snap_dir, name), header, np.asarray(values, dtype=float)[:, None],
+                  [t_cell + x_cell for x_cell in x_cells])
 
 
 def tail_quantile_probes(tail: initial_data.InitialTail, n: int = 16) -> np.ndarray:
@@ -268,9 +273,8 @@ def _run_bd(run_cfg: bd_mod.BdRunConfig, out_dir: str) -> Outcome:
     series, snapshots = bd_mod.run_bd(run_cfg)
     series.write_csv(os.path.join(out_dir, "series.csv"),
                      ["mass", "c1", "g", "Lambda"])
-    for idx, (t, c) in enumerate(snapshots):
-        _write_snapshot(out_dir, f"bd_{idx:04d}.csv", "t,ell,c", t,
-                        np.arange(1, len(c) + 1), c)
+    _write_snapshots(out_dir, "t,ell,c", np.arange(1, len(run_cfg.initial) + 1),
+                     ((f"bd_{idx:04d}.csv", t, c) for idx, (t, c) in enumerate(snapshots)))
     closure = run_cfg.closure
     checks = run_checks(_BD_CHECKS if closure.name == "full" else _DIRICHLET_CHECKS, {
         **series.columns, "c_min": np.array([c.min() for _, c in snapshots]),
@@ -301,9 +305,9 @@ def _run_classical(run_cfg: lsw_classical.ClassicalRunConfig, out_dir: str) -> O
     series.write_csv(os.path.join(out_dir, "series.csv"),
                      ["L", "Lambda", "N", "mass_residual"])
     probes = tail_quantile_probes(run_cfg.tail)
-    for idx, t in enumerate((0.0, run_cfg.t_end)):
-        w = np.atleast_1d(solver.tail_value(probes, t))
-        _write_snapshot(out_dir, f"tail_{idx:04d}.csv", "t,x,w", t, probes, w)
+    _write_snapshots(out_dir, "t,x,w", probes,
+                     ((f"tail_{idx:04d}.csv", t, np.atleast_1d(solver.tail_value(probes, t)))
+                      for idx, t in enumerate((0.0, run_cfg.t_end))))
     checks = run_checks(_CLASSICAL_CHECKS, series.columns)
     return checks, {"L_end": float(series.column("L")[-1]),
                     "Lambda_end": float(series.column("Lambda")[-1]),
@@ -356,9 +360,9 @@ def _run_diffusive(run_cfg: lsw_diffusive.DiffusiveRunConfig, out_dir: str) -> O
     series, history, snapshots, solver = lsw_diffusive.run_diffusive(run_cfg)
     series.write_csv(os.path.join(out_dir, "series.csv"),
                      ["L", "Lambda", "E", "M", "N", "mass_residual"])
-    for idx, (t, cbar) in enumerate(snapshots):
-        _write_snapshot(out_dir, f"density_{idx:04d}.csv", "t,x_center,c", t,
-                        solver.grid.centers, cbar)
+    _write_snapshots(out_dir, "t,x_center,c", solver.grid.centers,
+                     ((f"density_{idx:04d}.csv", t, cbar)
+                      for idx, (t, cbar) in enumerate(snapshots)))
     checks = run_checks(_DIFFUSIVE_CHECKS, series.columns)
     if len(series) >= 8:
         report = diagnostics.kohn_otto_report(series)
@@ -451,8 +455,8 @@ def _run_sweep(cls_cfg: lsw_classical.ClassicalRunConfig,
         rate_eps, _ = diagnostics.coarsening_rate(series, big_t)
         per_eps.append({"eps": run_cfg.eps, "tail_distance": dist, "L_gap_max": l_gap,
                         "rate_gap": abs(rate_eps - rate_cls_sa), "probe_table": table})
-        _write_snapshot(out_dir, f"density_eps{run_cfg.eps}.csv", "t,x_center,c", t_snap,
-                        solver.grid.centers, cbar)
+        _write_snapshots(out_dir, "t,x_center,c", solver.grid.centers,
+                         [(f"density_eps{run_cfg.eps}.csv", t_snap, cbar)])
 
     checks = run_checks(_SWEEP_CHECKS, {key: [row[key] for row in per_eps] for key in per_eps[0]})
     checks.append(bounded("classical_rate_consistency", rate_rel_err, hi=0.01,

@@ -7,22 +7,27 @@ Paths follow
 absorbed at 0.  Survival payoffs E[w0(X(T)); tau > T] validate the adjoint
 PDE solves, and exit-time histograms probe the first-passage density.
 
-Randomness comes from a counter-based Philox generator keyed by the seed and
-local to each batch, drawn in a fixed (step-major, path-minor) layout: each
-step draws one normal per path, then, under the bridge correction, one
-uniform per path.  So the results are a function of the config and the
-starting points, bit for bit.  A single worker thread draws the next step's
-numbers while the current step is computed; it is the same generator, called
-in the same order (a draw starts only after the previous one has finished),
-so the stream does not change.  The arithmetic runs on the live paths only,
-with the same elementwise expressions, and a batch stops at the first step
-where no path is alive, since no later draw would be used.
+The paths are split into blocks of 2**15 consecutive paths; the layout
+depends on the number of paths only.  Block j draws from counter-based Philox
+streams keyed by the seed: its normals from ``Philox(key=seed).jumped(2j + 1)``
+and its uniforms from ``jumped(2j + 2)``, so no two streams overlap.  Each step
+draws one normal per live path and, under the bridge correction, one uniform
+per live path whose crossing probability exp(q) is at least exp(-37), both in
+path order.  Below that cut a path is not offered the bridge crossing: a
+uniform is a multiple of 2**-53 and exp(-37) = 8.5e-17 < 2**-53, so only
+u == 0 could beat exp(q) there, and the cut moves a crossing probability by
+at most 2**-53 per path and step.  The blocks run to the end on a thread pool
+with one worker per available core, and their results are joined in block
+order, so the results are a function of the config and the starting points,
+bit for bit, whatever the number of cores.  The arithmetic runs on the live
+paths only, and a block stops at the first step where no path is alive.
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -77,9 +82,7 @@ class McEstimate:
 
 
 def payoff_function(spec) -> Callable[[np.ndarray], np.ndarray]:
-    """Resolve a payoff spec: 'one', 'cuberoot', ('indicator', x0), or callable."""
-    if callable(spec):
-        return spec
+    """Resolve a payoff spec: 'one', 'cuberoot' or ('indicator', x0)."""
     if spec == "one":
         return lambda x: np.ones_like(np.asarray(x, dtype=float))
     if spec == "cuberoot":
@@ -90,64 +93,74 @@ def payoff_function(spec) -> Callable[[np.ndarray], np.ndarray]:
     raise ValueError(f"unknown payoff {spec!r}")
 
 
-# np.exp(q) is exactly 0.0 below this (exp(-745.14) already underflows past
-# the smallest subnormal), so there u < exp(q) is false without evaluating it
-_EXP_ZERO = -746.0
+# below this exp(q) < 2**-53, the spacing of Generator.random's values, so
+# no uniform is drawn there (see the module docstring)
+_Q_MIN = -37.0
+
+_BLOCK = 2**15  # paths per block
 
 
-def _draw_ahead(worker: ThreadPoolExecutor, rng: np.random.Generator, n: int,
-                n_steps: int, bridge: bool):
-    """Yield each step's draws (z, u), u None without the bridge correction.
-
-    The next step's pair is filled on ``worker`` while the caller uses the
-    current one (numpy releases the GIL while it fills).  A fill starts only
-    after the previous one finished, so the stream is the one a plain loop of
-    ``standard_normal(n)``, ``random(n)`` calls draws.
-    """
-    pairs = [(np.empty(n), np.empty(n) if bridge else None) for _ in range(2)]
-
-    def fill(z, u):
-        rng.standard_normal(out=z)
-        if u is not None:
-            rng.random(out=u)
-
-    ahead = worker.submit(fill, *pairs[0])
-    try:
-        for k in range(n_steps):
-            ahead.result()
-            if k + 1 < n_steps:
-                ahead = worker.submit(fill, *pairs[(k + 1) % 2])
-            yield pairs[k % 2]
-    finally:
-        ahead.result()  # the fill in flight when the caller stops early
-
-
-def _euler_step(x, idx, z, u, big_l, eps, dt):
+def _euler_step(x, z, uniform, big_l, eps, dt):
     """One step of the live paths: (new positions, which crossed).
 
-    ``x`` holds the live positions (all > 0) and ``idx`` their places in the
-    batch's normals ``z`` and uniforms ``u`` (None without the bridge
-    correction).  Each value comes from the same elementwise expression as a
-    whole-batch step, so it does not depend on which other paths are alive.
-    Each array is dropped once used: at 200k paths each is 1.6 MB.
+    ``x`` holds the live positions (all > 0) and ``z`` one normal each (None
+    when eps is 0).  ``uniform(n)`` draws n uniforms for the paths a bridge
+    crossing can absorb, in path order (None without the bridge correction).
+    Each array is dropped once used.
     """
     drift = -(1.0 - np.cbrt(x / big_l))
     x_new = x + drift * dt
     del drift
-    if eps == 0.0:  # the noise term would add a signed zero
+    if z is None:  # eps 0: the noise term would add a signed zero
         return x_new, x_new <= 0.0
     sigma = math.sqrt(2.0 * eps) * (1.0 + x / eps) ** (1.0 / 6.0)
-    x_new += sigma * math.sqrt(dt) * z[idx]
+    x_new += sigma * math.sqrt(dt) * z
     crossed = x_new <= 0.0
-    if u is not None:
+    if uniform is not None:
         with np.errstate(divide="ignore", over="ignore"):
             q = -2.0 * x * x_new / (sigma * sigma * dt)
         del sigma
-        near = np.flatnonzero((x_new > 0.0) & (q >= _EXP_ZERO))
-        p_cross = np.exp(q[near])
-        del q
-        crossed[near] = u[idx[near]] < p_cross
+        near = np.flatnonzero((x_new > 0.0) & (q >= _Q_MIN))
+        crossed[near] = uniform(len(near)) < np.exp(q[near])
     return x_new, crossed
+
+
+def _simulate_block(config: McConfig, x0: np.ndarray, j: int):
+    """(alive, X_final, exit_times) of block ``j``, whose starts are ``x0``.
+
+    Only the live paths are advanced, and their lists are compacted in a step
+    where some path crossed.  The block stops once no path is alive.  Without
+    noise (eps 0) nothing is drawn.
+    """
+    n_steps = config.n_steps
+    dt = config.T / n_steps
+    eps = config.eps
+    alive = x0 > 0.0
+    exit_t = np.where(alive, np.nan, 0.0)
+    x_fin = np.where(alive, 0.0, x0)  # a path dead at the start keeps its start
+    idx = np.flatnonzero(alive)
+    x = x0[idx]
+    key = np.random.Philox(key=config.seed)
+    normal = np.random.Generator(key.jumped(2 * j + 1)).standard_normal
+    uniform = (np.random.Generator(key.jumped(2 * j + 2)).random
+               if config.boundary == "bridge" else None)
+    for k in range(n_steps):
+        if len(idx) == 0:
+            break
+        t_mid = k * dt
+        big_l = float(config.history.value(min(t_mid, config.history.t_end)))
+        z = normal(len(x)) if eps > 0.0 else None
+        x_new, crossed = _euler_step(x, z, uniform, big_l, eps, dt)
+        if crossed.any():
+            exit_t[idx[crossed]] = (k + 1) * dt
+            idx = idx[~crossed]
+            x = x_new[~crossed]
+        else:
+            x = x_new
+    alive = np.zeros(len(x0), dtype=bool)
+    alive[idx] = True
+    x_fin[idx] = x
+    return alive, x_fin, exit_t
 
 
 def _simulate_batch(
@@ -155,49 +168,24 @@ def _simulate_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance all paths; returns (alive, X_final, exit_times).
 
-    ``exit_times`` holds NaN for surviving paths.  The bridge correction
-    absorbs a path crossing-wise even when both endpoints are positive, using
-    the frozen-coefficient crossing probability exp(-2 a b / (sigma^2 dt)).
+    ``exit_times`` holds NaN for surviving paths, and ``X_final`` 0 for
+    absorbed ones.  The bridge correction absorbs a path crossing-wise even
+    when both endpoints are positive, using the frozen-coefficient crossing
+    probability exp(-2 a b / (sigma^2 dt)).
 
-    Only the live paths are advanced, and their lists are compacted in a step
-    where some path crossed.  The batch stops once no path is alive.  Without
-    noise (eps 0) nothing is drawn.
+    The paths are split into blocks of ``_BLOCK`` consecutive paths, which a
+    thread pool with one worker per available core runs to the end; the
+    results do not depend on the number of workers.
     """
     x0 = np.asarray(x_starts, dtype=float)
     if (x0 < 0.0).any():
         raise ValueError("x_start must be nonnegative")
-    n = len(x0)
-    n_steps = config.n_steps
-    dt = config.T / n_steps
-    eps = config.eps
-    bridge = config.boundary == "bridge" and eps > 0.0
-    alive = x0 > 0.0
-    exit_t = np.where(alive, np.nan, 0.0)
-    idx = np.flatnonzero(alive)
-    if len(idx) == 0:
-        return alive, x0.copy(), exit_t
-    x = x0[idx]
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-    with ThreadPoolExecutor(max_workers=1) as worker, contextlib.closing(
-            _draw_ahead(worker, rng, n, n_steps, bridge) if eps > 0.0
-            else ((None, None) for _ in range(n_steps))) as draws:
-        for k, (z, u) in enumerate(draws):
-            t_mid = k * dt
-            big_l = float(config.history.value(min(t_mid, config.history.t_end)))
-            x_new, crossed = _euler_step(x, idx, z, u, big_l, eps, dt)
-            if crossed.any():
-                exit_t[idx[crossed]] = (k + 1) * dt
-                idx = idx[~crossed]
-                x = x_new[~crossed]
-                if len(idx) == 0:
-                    break
-            else:
-                x = x_new
-    alive = np.zeros(n, dtype=bool)
-    alive[idx] = True
-    x_fin = np.zeros(n)
-    x_fin[idx] = x
-    return alive, x_fin, exit_t
+    blocks = [x0[i:i + _BLOCK] for i in range(0, len(x0), _BLOCK)]
+    workers = min(len(blocks), len(os.sched_getaffinity(0)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(functools.partial(_simulate_block, config),
+                              blocks, range(len(blocks))))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def estimate_survival_payoff(config: McConfig, payoff, x_start: float) -> McEstimate:

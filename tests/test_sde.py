@@ -4,10 +4,12 @@ import threading
 import numpy as np
 import pytest
 
+from coarsenlab import sde
 from coarsenlab.diagnostics import LHistory
 from coarsenlab.lsw_diffusive import Grid, adjoint_solve
 from coarsenlab.sde import (
-    _EXP_ZERO,
+    _BLOCK,
+    _Q_MIN,
     McConfig,
     _simulate_batch,
     estimate_survival_payoff,
@@ -42,7 +44,6 @@ class TestPayoffs:
         assert np.all(payoff_function("one")(x) == 1.0)
         assert np.allclose(payoff_function("cuberoot")(x), [0.0, 1.0, 2.0])
         assert np.all(payoff_function(("indicator", 0.5))(x) == [0.0, 1.0, 1.0])
-        assert payoff_function(lambda y: 2 * y)(3.0) == 6.0
 
     def test_unknown_payoff(self):
         with pytest.raises(ValueError):
@@ -84,44 +85,58 @@ class TestNoiseFreeLimit:
 def _reference_batch(config, x_starts):
     """The whole-batch Euler loop, kept as an oracle for ``_simulate_batch``.
 
-    Every step advances every path (dead ones are masked), evaluates exp for
-    the whole batch, and draws to the last step whether or not a path is
-    still alive.
+    Every step advances every path (dead ones are masked) and evaluates exp
+    for the whole batch.  Block j, the paths ``j * _BLOCK`` on, draws its
+    normals for its alive paths and its uniforms for its alive paths with
+    ``q >= _Q_MIN``, in path order, from ``Philox(key=seed).jumped(2j + 1)``
+    and ``jumped(2j + 2)``.
     """
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
     n = len(x_starts)
+    key = np.random.Philox(key=config.seed)
+    blocks = [slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK)]
+    normals = [np.random.Generator(key.jumped(2 * j + 1)) for j in range(len(blocks))]
+    uniforms = [np.random.Generator(key.jumped(2 * j + 2)) for j in range(len(blocks))]
+
+    def draw(rngs, mask, draw_one):
+        out = np.zeros(n)
+        for rng, block in zip(rngs, blocks):
+            out[block][mask[block]] = draw_one(rng, int(mask[block].sum()))
+        return out
+
     n_steps = config.n_steps
     dt = config.T / n_steps
     sqrt_dt = math.sqrt(dt)
-    x = np.asarray(x_starts, dtype=float).copy()
-    alive = x > 0.0
+    x0 = np.asarray(x_starts, dtype=float)
+    x = x0.copy()
+    alive0 = x0 > 0.0
+    alive = alive0.copy()
     exit_t = np.where(alive, np.nan, 0.0)
     eps = config.eps
     bridge = config.boundary == "bridge" and eps > 0.0
     for k in range(n_steps):
-        z = rng.standard_normal(n)
-        u = rng.random(n) if bridge else None
         if not alive.any():
-            continue
+            break
         t_mid = k * dt
         big_l = float(config.history.value(min(t_mid, config.history.t_end)))
         xp = np.maximum(x, 0.0)
         drift = -(1.0 - np.cbrt(xp / big_l))
         if eps > 0.0:
             sigma = math.sqrt(2.0 * eps) * (1.0 + xp / eps) ** (1.0 / 6.0)
+            z = draw(normals, alive, lambda rng, m: rng.standard_normal(m))
+            x_new = x + drift * dt + sigma * sqrt_dt * z
         else:
-            sigma = np.zeros_like(xp)
-        x_new = x + drift * dt + sigma * sqrt_dt * z
+            x_new = x + drift * dt
         crossed = alive & (x_new <= 0.0)
         if bridge:
-            interior = alive & (x_new > 0.0) & (x > 0.0)
             with np.errstate(divide="ignore", over="ignore"):
-                p_cross = np.exp(-2.0 * x * x_new / (sigma * sigma * dt))
-            crossed |= interior & (u < p_cross)
+                q = -2.0 * x * x_new / (sigma * sigma * dt)
+            over = alive & (x_new > 0.0) & (q >= _Q_MIN)
+            u = draw(uniforms, over, lambda rng, m: rng.random(m))
+            crossed |= over & (u < np.exp(q))
         exit_t = np.where(crossed, (k + 1) * dt, exit_t)
         alive &= ~crossed
         x = np.where(alive, x_new, 0.0)
-    return alive, x, exit_t
+    return alive, np.where(alive0, x, x0), exit_t
 
 
 def _assert_same_batch(config, starts):
@@ -165,19 +180,34 @@ class TestBatchMatchesReference:
         alive, x, _ = _assert_same_batch(_config(n_paths=1, T=0.01), starts)
         assert not alive.any() and np.signbit(x[1])
 
+    def test_several_blocks_on_any_number_of_workers(self, monkeypatch):
+        # the last block is partial; the blocks' results do not depend on
+        # how many workers run them
+        starts = np.resize(_MIXED_STARTS, 2 * _BLOCK + 17)
+        cfg = _config(T=0.1, dt=2e-3)
+        pooled = _assert_same_batch(cfg, starts)
+        monkeypatch.setattr(sde.os, "sched_getaffinity", lambda pid: {0})
+        single = _simulate_batch(cfg, starts)
+        for a, b in zip(pooled, single):
+            assert np.array_equal(a, b, equal_nan=True)
+        assert 0 < pooled[0].sum() < len(starts)
+
     def test_no_thread_outlives_the_call(self):
         before = threading.active_count()
         _simulate_batch(_config(T=0.02), _MIXED_STARTS)
         _simulate_batch(_config(eps=0.002, T=1.0, dt=1e-2), np.full(100, 0.05))
+        _simulate_batch(_config(T=0.02), np.full(3 * _BLOCK, 0.5))
         assert threading.active_count() == before
 
-    def test_exp_is_zero_below_cutoff(self):
-        # the batch skips exp(q) for q < _EXP_ZERO because it is exactly 0 there
-        q = np.linspace(-760.0, _EXP_ZERO, 2_000_001)
-        assert q[-1] == _EXP_ZERO
-        assert np.all(np.exp(q) == 0.0)
-        assert np.all(np.exp(q[::-3]) == 0.0)  # strided, in another order
-        assert math.exp(_EXP_ZERO) == 0.0
+    def test_no_uniform_can_beat_exp_below_the_cut(self):
+        # the batch draws no uniform where q < _Q_MIN: random() returns
+        # multiples of 2**-53, and there exp(q) < 2**-53, so only u == 0
+        # could beat it
+        u = np.random.Generator(np.random.Philox(key=3)).random(1_000_000)
+        scaled = np.ldexp(u, 53)
+        assert np.array_equal(scaled, np.floor(scaled))
+        assert math.exp(_Q_MIN) < 2.0**-53
+        assert np.exp(np.float64(_Q_MIN)) < 2.0**-53
 
 
 class TestEstimates:

@@ -515,9 +515,6 @@ def _parse_mc(values: dict, refine: bool):
     starts = values["probes"]
     _require(len(starts) > 0 and all(0.0 < x0 < x_max for x0 in starts),
              f"probes: need at least one, each in (0, x_max = {x_max!r}), got {starts!r}")
-    # probe i draws from the Philox key seed + i, which must stay below 2**128
-    _require(seed + len(starts) <= 2**128,
-             f"seed: the last probe's Philox key {seed + len(starts) - 1} reaches 2**128")
     return functools.partial(_run_mc, mc_cfg, values["payoff"], starts, grid,
                              values["grid_tol"])
 

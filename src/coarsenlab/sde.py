@@ -8,19 +8,27 @@ absorbed at 0.  Survival payoffs E[w0(X(T)); tau > T] validate the adjoint
 PDE solves, and exit-time histograms probe the first-passage density.
 
 The paths are split into blocks of 2**15 consecutive paths; the layout
-depends on the number of paths only.  Block j draws from counter-based Philox
-streams keyed by the seed: its normals from ``Philox(key=seed).jumped(2j + 1)``
-and its uniforms from ``jumped(2j + 2)``, so no two streams overlap.  Each step
-draws one normal per live path and, under the bridge correction, one uniform
-per live path whose crossing probability exp(q) is at least exp(-37), both in
-path order.  Below that cut a path is not offered the bridge crossing: a
-uniform is a multiple of 2**-53 and exp(-37) = 8.5e-17 < 2**-53, so only
-u == 0 could beat exp(q) there, and the cut moves a crossing probability by
-at most 2**-53 per path and step.  The blocks run to the end on a thread pool
-with one worker per available core, and their results are joined in block
-order, so the results are a function of the config and the starting points,
-bit for bit, whatever the number of cores.  The arithmetic runs on the live
-paths only, and a block stops at the first step where no path is alive.
+depends on the number of paths only.  Block j draws from SFC64 streams keyed
+by a SeedSequence of the seed: its normals from
+``SFC64(SeedSequence(seed, spawn_key=(2j + 1,)))`` and its uniforms from
+``spawn_key=(2j + 2,)``, so each stream depends on the seed and j alone, and
+any nonnegative integer is a seed.  Each step draws one normal per live path
+and, under the bridge correction, one uniform per live path with x_new > 0
+and x * x_new <= 18.5 sigma^2 dt, both in path order.  That cut is
+q = -2 x x_new / (sigma^2 dt) >= -37 without a division, and it takes in every
+path with x_new <= 0, which is absorbed without a draw.  Beyond it a path is
+not offered the bridge crossing: SFC64's uniforms are multiples of 2**-53
+and exp(-37) = 8.5e-17 < 2**-53, so only u == 0 could beat exp(q) there, and
+the cut moves a crossing probability by at most 2**-53 per path and step.
+exp(q) is computed for the drawn paths only.
+
+The blocks run to the end on a thread pool with one worker per available
+core, and their results are joined in block order, so the results are a
+function of the config and the starting points, bit for bit, whatever the
+number of cores.  A block allocates its buffers once, keeps its live paths in
+their prefix and writes each step into them; sigma^2 dt = 2 eps dt
+(1 + x/eps)^{1/3} takes one cube root.  A block stops at the first step where
+no path is alive.
 """
 
 from __future__ import annotations
@@ -93,44 +101,63 @@ def payoff_function(spec) -> Callable[[np.ndarray], np.ndarray]:
     raise ValueError(f"unknown payoff {spec!r}")
 
 
-# below this exp(q) < 2**-53, the spacing of Generator.random's values, so
-# no uniform is drawn there (see the module docstring)
-_Q_MIN = -37.0
+# a bridge candidate has x * x_new <= _CUT * sigma^2 dt, that is q >= -37:
+# below it exp(q) < 2**-53, the spacing of Generator.random's values, so no
+# uniform is drawn there (see the module docstring)
+_CUT = 18.5
 
 _BLOCK = 2**15  # paths per block
 
 
-def _euler_step(x, z, uniform, big_l, eps, dt):
-    """One step of the live paths: (new positions, which crossed).
+def _stream(seed: int, key: int) -> np.random.Generator:
+    """The SFC64 generator of stream ``key`` under ``seed``."""
+    seq = np.random.SeedSequence(seed, spawn_key=(key,))
+    return np.random.Generator(np.random.SFC64(seq))
 
-    ``x`` holds the live positions (all > 0) and ``z`` one normal each (None
-    when eps is 0).  ``uniform(n)`` draws n uniforms for the paths a bridge
-    crossing can absorb, in path order (None without the bridge correction).
-    Each array is dropped once used.
+
+def _euler_step(x, x_new, tmp, s2dt, z, normal, uniform, big_l, eps, dt):
+    """Advance the live paths ``x`` into ``x_new``; returns the indices of those absorbed.
+
+    Every array argument has one entry per live path (all > 0); ``tmp``,
+    ``s2dt`` (sigma^2 dt) and ``z`` are scratch.  ``normal(out=z)`` fills
+    ``z`` with normals (None when eps is 0), and ``uniform(n)`` draws n
+    uniforms for the paths a bridge crossing can absorb, in path order (None
+    without the bridge correction).
     """
-    drift = -(1.0 - np.cbrt(x / big_l))
-    x_new = x + drift * dt
-    del drift
-    if z is None:  # eps 0: the noise term would add a signed zero
-        return x_new, x_new <= 0.0
-    sigma = math.sqrt(2.0 * eps) * (1.0 + x / eps) ** (1.0 / 6.0)
-    x_new += sigma * math.sqrt(dt) * z
-    crossed = x_new <= 0.0
-    if uniform is not None:
-        with np.errstate(divide="ignore", over="ignore"):
-            q = -2.0 * x * x_new / (sigma * sigma * dt)
-        del sigma
-        near = np.flatnonzero((x_new > 0.0) & (q >= _Q_MIN))
-        crossed[near] = uniform(len(near)) < np.exp(q[near])
-    return x_new, crossed
+    np.divide(x, big_l, out=tmp)
+    np.cbrt(tmp, out=tmp)
+    tmp -= 1.0
+    tmp *= dt
+    np.add(x, tmp, out=x_new)
+    if normal is None:  # eps 0: the noise term would add a signed zero
+        return np.flatnonzero(x_new <= 0.0)
+    np.divide(x, eps, out=tmp)
+    tmp += 1.0
+    np.cbrt(tmp, out=s2dt)  # sigma^2 = 2 eps (1 + x/eps)^{1/3}
+    s2dt *= 2.0 * eps * dt
+    normal(out=z)
+    np.sqrt(s2dt, out=tmp)
+    tmp *= z
+    x_new += tmp
+    if uniform is None:
+        return np.flatnonzero(x_new <= 0.0)
+    np.multiply(x, x_new, out=tmp)
+    np.multiply(s2dt, _CUT, out=z)
+    near = np.flatnonzero(tmp <= z)  # every x_new <= 0 among them
+    kept = x_new[near] > 0.0
+    over = near[kept]
+    kept[kept] = uniform(len(over)) >= np.exp(-2.0 * tmp[over] / s2dt[over])
+    return near[~kept]
 
 
 def _simulate_block(config: McConfig, x0: np.ndarray, j: int):
     """(alive, X_final, exit_times) of block ``j``, whose starts are ``x0``.
 
-    Only the live paths are advanced, and their lists are compacted in a step
-    where some path crossed.  The block stops once no path is alive.  Without
-    noise (eps 0) nothing is drawn.
+    The live positions sit in the prefix of buffers allocated once per block,
+    and each step writes into them.  A step where no path crossed swaps the
+    old and new positions; one where some crossed compacts the survivors.  The
+    block stops once no path is alive.  Without noise (eps 0) nothing is
+    drawn.
     """
     n_steps = config.n_steps
     dt = config.T / n_steps
@@ -139,27 +166,33 @@ def _simulate_block(config: McConfig, x0: np.ndarray, j: int):
     exit_t = np.where(alive, np.nan, 0.0)
     x_fin = np.where(alive, 0.0, x0)  # a path dead at the start keeps its start
     idx = np.flatnonzero(alive)
-    x = x0[idx]
-    key = np.random.Philox(key=config.seed)
-    normal = np.random.Generator(key.jumped(2 * j + 1)).standard_normal
-    uniform = (np.random.Generator(key.jumped(2 * j + 2)).random
-               if config.boundary == "bridge" else None)
+    m = len(idx)
+    x, x_new, tmp, s2dt, z = np.empty((5, len(x0)))
+    np.take(x0, idx, out=x[:m])
+    history = config.history
+    big_l = history.value(np.minimum(np.arange(n_steps) * dt, history.t_end))
+    normal = uniform = None
+    if eps > 0.0:
+        normal = _stream(config.seed, 2 * j + 1).standard_normal
+        if config.boundary == "bridge":
+            uniform = _stream(config.seed, 2 * j + 2).random
     for k in range(n_steps):
-        if len(idx) == 0:
+        if m == 0:
             break
-        t_mid = k * dt
-        big_l = float(config.history.value(min(t_mid, config.history.t_end)))
-        z = normal(len(x)) if eps > 0.0 else None
-        x_new, crossed = _euler_step(x, z, uniform, big_l, eps, dt)
-        if crossed.any():
-            exit_t[idx[crossed]] = (k + 1) * dt
-            idx = idx[~crossed]
-            x = x_new[~crossed]
+        dead = _euler_step(x[:m], x_new[:m], tmp[:m], s2dt[:m], z[:m], normal, uniform,
+                           big_l[k], eps, dt)
+        if len(dead):
+            exit_t[idx[dead]] = (k + 1) * dt
+            keep = np.ones(m, dtype=bool)
+            keep[dead] = False
+            idx = idx[keep]
+            np.compress(keep, x_new[:m], out=x[:len(idx)])
+            m = len(idx)
         else:
-            x = x_new
+            x, x_new = x_new, x
     alive = np.zeros(len(x0), dtype=bool)
     alive[idx] = True
-    x_fin[idx] = x
+    x_fin[idx] = x[:m]
     return alive, x_fin, exit_t
 
 

@@ -9,7 +9,7 @@ from coarsenlab.diagnostics import LHistory
 from coarsenlab.lsw_diffusive import Grid, adjoint_solve
 from coarsenlab.sde import (
     _BLOCK,
-    _Q_MIN,
+    _CUT,
     McConfig,
     _simulate_batch,
     estimate_survival_payoff,
@@ -88,14 +88,19 @@ def _reference_batch(config, x_starts):
     Every step advances every path (dead ones are masked) and evaluates exp
     for the whole batch.  Block j, the paths ``j * _BLOCK`` on, draws its
     normals for its alive paths and its uniforms for its alive paths with
-    ``q >= _Q_MIN``, in path order, from ``Philox(key=seed).jumped(2j + 1)``
-    and ``jumped(2j + 2)``.
+    ``x_new > 0`` and ``x * x_new <= _CUT * sigma^2 dt``, in path order, from
+    ``SFC64(SeedSequence(seed, spawn_key=(2j + 1,)))`` and
+    ``spawn_key=(2j + 2,)``.
     """
     n = len(x_starts)
-    key = np.random.Philox(key=config.seed)
+
+    def stream(key):
+        seq = np.random.SeedSequence(config.seed, spawn_key=(key,))
+        return np.random.Generator(np.random.SFC64(seq))
+
     blocks = [slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK)]
-    normals = [np.random.Generator(key.jumped(2 * j + 1)) for j in range(len(blocks))]
-    uniforms = [np.random.Generator(key.jumped(2 * j + 2)) for j in range(len(blocks))]
+    normals = [stream(2 * j + 1) for j in range(len(blocks))]
+    uniforms = [stream(2 * j + 2) for j in range(len(blocks))]
 
     def draw(rngs, mask, draw_one):
         out = np.zeros(n)
@@ -105,7 +110,6 @@ def _reference_batch(config, x_starts):
 
     n_steps = config.n_steps
     dt = config.T / n_steps
-    sqrt_dt = math.sqrt(dt)
     x0 = np.asarray(x_starts, dtype=float)
     x = x0.copy()
     alive0 = x0 > 0.0
@@ -119,20 +123,20 @@ def _reference_batch(config, x_starts):
         t_mid = k * dt
         big_l = float(config.history.value(min(t_mid, config.history.t_end)))
         xp = np.maximum(x, 0.0)
-        drift = -(1.0 - np.cbrt(xp / big_l))
+        drift = np.cbrt(xp / big_l) - 1.0
         if eps > 0.0:
-            sigma = math.sqrt(2.0 * eps) * (1.0 + xp / eps) ** (1.0 / 6.0)
+            s2dt = 2.0 * eps * dt * np.cbrt(1.0 + xp / eps)  # sigma^2 dt
             z = draw(normals, alive, lambda rng, m: rng.standard_normal(m))
-            x_new = x + drift * dt + sigma * sqrt_dt * z
+            x_new = x + drift * dt + np.sqrt(s2dt) * z
         else:
             x_new = x + drift * dt
         crossed = alive & (x_new <= 0.0)
         if bridge:
-            with np.errstate(divide="ignore", over="ignore"):
-                q = -2.0 * x * x_new / (sigma * sigma * dt)
-            over = alive & (x_new > 0.0) & (q >= _Q_MIN)
+            prod = x * x_new
+            over = alive & (x_new > 0.0) & (prod <= _CUT * s2dt)
             u = draw(uniforms, over, lambda rng, m: rng.random(m))
-            crossed |= over & (u < np.exp(q))
+            with np.errstate(over="ignore"):
+                crossed |= over & (u < np.exp(-2.0 * prod / s2dt))
         exit_t = np.where(crossed, (k + 1) * dt, exit_t)
         alive &= ~crossed
         x = np.where(alive, x_new, 0.0)
@@ -199,15 +203,26 @@ class TestBatchMatchesReference:
         _simulate_batch(_config(T=0.02), np.full(3 * _BLOCK, 0.5))
         assert threading.active_count() == before
 
+    def test_no_state_outlives_a_call(self):
+        # each block allocates its buffers, and the starts are only read
+        starts = np.resize(_MIXED_STARTS, 2 * _BLOCK + 17)
+        kept = starts.copy()
+        cfg = _config(T=0.02)
+        first = _simulate_batch(cfg, starts)
+        second = _simulate_batch(cfg, starts)
+        assert np.array_equal(starts, kept)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b, equal_nan=True)
+
     def test_no_uniform_can_beat_exp_below_the_cut(self):
-        # the batch draws no uniform where q < _Q_MIN: random() returns
-        # multiples of 2**-53, and there exp(q) < 2**-53, so only u == 0
-        # could beat it
-        u = np.random.Generator(np.random.Philox(key=3)).random(1_000_000)
+        # the batch draws no uniform where x * x_new > _CUT * sigma^2 dt, that
+        # is q < -2 * _CUT: random() returns multiples of 2**-53, and there
+        # exp(q) < 2**-53, so only u == 0 could beat it
+        u = np.random.Generator(np.random.SFC64(3)).random(1_000_000)
         scaled = np.ldexp(u, 53)
         assert np.array_equal(scaled, np.floor(scaled))
-        assert math.exp(_Q_MIN) < 2.0**-53
-        assert np.exp(np.float64(_Q_MIN)) < 2.0**-53
+        assert math.exp(-2.0 * _CUT) < 2.0**-53
+        assert np.exp(np.float64(-2.0 * _CUT)) < 2.0**-53
 
 
 class TestEstimates:

@@ -16,9 +16,11 @@ followed by the
 duality residuals, the Monte Carlo check's adjoint values ``pde``) and the
 sweep's two classical rates
 (``classical_rate_semi_analytic``, ``classical_rate_fd``), printed in full
-precision.  Run it on two commits and compare the lines; equal digests mean
-byte-identical artifacts, and where they differ the scalars show how far the
-results moved.  The whole set takes a few minutes on two cores.
+precision.  The Monte Carlo lines also print each probe's estimate ``mean``
+and its ``stderr``, so a change of random stream shows how far the estimates
+moved in standard errors.  Run it on two commits and compare the lines; equal
+digests mean byte-identical artifacts, and where they differ the scalars show
+how far the results moved.  The whole set takes a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def tree_digest(root: str) -> tuple[int, str, str]:
 
 
 def gated_scalars(out: str) -> str:
-    """``key value`` pairs of the gated scalars in ``out/summary.json``."""
+    """``key value`` pairs of the gated scalars and Monte Carlo estimates in ``out/summary.json``."""
     try:
         with open(os.path.join(out, "summary.json")) as fh:
             details = json.load(fh).get("details", {})
@@ -98,7 +100,8 @@ def gated_scalars(out: str) -> str:
     for group in ("residuals", "refined_residuals"):
         pairs += [(f"{group}.{name}", vals["residual"])
                   for name, vals in sorted(details.get(group, {}).items())]
-    pairs += [(f"pde[{i}]", record["pde"]) for i, record in enumerate(details.get("records", []))]
+    pairs += [(f"{key}[{i}]", record[key]) for i, record in enumerate(details.get("records", []))
+              for key in ("pde", "mean", "stderr")]
     return "".join(f"  {key} {value!r}" for key, value in pairs)
 
 

@@ -59,10 +59,10 @@ __all__ = [
 
 _RTOL = 1e-9  # local error tolerance of the semi-implicit stepper
 _ATOL = 1e-12
-# The Dirichlet bracket starts this far, relative to c1 - z_s, either side of
-# the flux-balance guess; on the benchmark's Dirichlet run (ell_max 600, t_end
-# 50) the root's (c1 - z_s)/(guess - z_s) lies in [0.99986, 0.9999997] over
-# all 3,670 root-finds.  ``bracket`` widens it when the root lies outside.
+# The bracket starts this far either side of c1 at the step's start, relative
+# to c1 - z_s (Dirichlet) or c1 (full); on the benchmark's Dirichlet run the
+# root's (c1 - z_s)/(guess - z_s) lies in [0.99986, 0.9999997] over all 3,670
+# root-finds.  ``bracket`` widens it when the root lies outside.
 _GUESS_SPREAD = 1e-3
 
 
@@ -228,7 +228,7 @@ def _step_semi_implicit(
 ) -> tuple[np.ndarray, float]:
     """One trapezoidal step; the monomer density is fixed by a root-find.
 
-    The Dirichlet bracket starts around ``c1_now``, the closure's at ``c``.
+    The bracket starts around ``c1_now``, the closure's at ``c``, or is ``[0, rho]``.
     Each trial ``c1`` is solved once: brentq evaluates the bracket's ends
     again, and the committed state is the solve at the root it returns.
     """
@@ -242,24 +242,25 @@ def _step_semi_implicit(
         return c_new
 
     if isinstance(closure, FullClosure):
-        rho = closure.rho
+        origin, rho = 0.0, closure.rho
+        # c1 = 0 at c up to rounding, as at t = 0 for ``bins`` data: a bracket
+        # about 0 widens to the root slowly, from exactly 0 not at all
+        start = (0.0, rho) if c1_now <= 1e-12 * rho else None
 
         def defect(c1: float) -> float:
             mid = 0.5 * (c + trapezoid(c1))
             return c1 - max(rho - float(ells @ mid), 0.0)
-
-        c1 = brentq(defect, 0.0, rho, xtol=1e-15, rtol=8.9e-16)
     else:
-        excess = c1_now - model.z_s
-        mass0 = float(ells @ c)
+        origin, start, mass0 = model.z_s, None, float(ells @ c)
 
         def defect(c1: float) -> float:
             return float(ells @ trapezoid(c1)) - mass0
 
-        lo, hi = bracket(defect, model.z_s + (1.0 - _GUESS_SPREAD) * excess,
-                         model.z_s + (1.0 + _GUESS_SPREAD) * excess,
-                         origin=model.z_s, increasing=True)
-        c1 = brentq(defect, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    if start is None:
+        excess = c1_now - origin
+        start = bracket(defect, origin + (1.0 - _GUESS_SPREAD) * excess,
+                        origin + (1.0 + _GUESS_SPREAD) * excess, origin=origin, increasing=True)
+    c1 = brentq(defect, *start, xtol=1e-15, rtol=8.9e-16)
     c_new = trapezoid(c1)
     # brentq's nan guard keeps ``defect`` in a reference cycle, so the states
     # and bands it reaches would outlive the step until the cycle collector runs
@@ -294,8 +295,9 @@ def truncation_bound(mass: float, ell_max: int) -> float:
     return 1e-10 * mass / ell_max
 
 
-def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.ndarray]]]:
-    """Integrate to t_end; returns the diagnostic series and state snapshots.
+def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.ndarray]],
+                                         list[float]]:
+    """Integrate to t_end; returns the series, the state snapshots and ``clip_negatives``' log.
 
     Snapshots are (t, c) pairs with c indexed ell = 1..ell_max, taken at the
     ``output_times`` by ``march``, which raises RuntimeError on mass drift.
@@ -345,7 +347,7 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
 
     march(output_times(config.t_end, config.output_stride), lambda: dt, step, record,
           lambda: float(ells @ c) + (monomer_closure_full(c, closure.rho) if full else 0.0))
-    return TrajectorySeries.from_rows(rows, f"bd:{closure.name}:semi-implicit"), snapshots
+    return TrajectorySeries.from_rows(rows, f"bd:{closure.name}:semi-implicit"), snapshots, neg_log
 
 
 def _row(t: float, c: np.ndarray, config: BdRunConfig, ells: np.ndarray) -> dict:

@@ -270,7 +270,7 @@ _DIRICHLET_CHECKS = _BD_CHECKS + [
 
 
 def _run_bd(run_cfg: bd_mod.BdRunConfig, out_dir: str) -> Outcome:
-    series, snapshots = bd_mod.run_bd(run_cfg)
+    series, snapshots, neg_log = bd_mod.run_bd(run_cfg)
     series.write_csv(os.path.join(out_dir, "series.csv"),
                      ["mass", "c1", "g", "Lambda"])
     _write_snapshots(out_dir, "t,ell,c", np.arange(1, len(run_cfg.initial) + 1),
@@ -279,8 +279,9 @@ def _run_bd(run_cfg: bd_mod.BdRunConfig, out_dir: str) -> Outcome:
     checks = run_checks(_BD_CHECKS if closure.name == "full" else _DIRICHLET_CHECKS, {
         **series.columns, "c_min": np.array([c.min() for _, c in snapshots]),
         "mass_ref": closure.mass, "z_s": run_cfg.model.z_s})
-    return checks, {"closure": closure.name,
-                    "ell_max": len(run_cfg.initial), "mass_drift": checks[0]["max_drift"]}
+    return checks, {"closure": closure.name, "ell_max": len(run_cfg.initial),
+                    "mass_drift": checks[0]["max_drift"], "neg_clips": len(neg_log),
+                    "neg_clip_min": min(neg_log, default=0.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +372,9 @@ def _run_diffusive(run_cfg: lsw_diffusive.DiffusiveRunConfig, out_dir: str) -> O
                          rate_ratio_max=report["rate_ratio_max"]),
                    check("R_ladder_bounded", report["R_bounded"], ladder=report["R_ladder"])]
     return checks, {"eps": run_cfg.eps, "L_end": float(series.column("L")[-1]),
-                    "Lambda_end": float(series.column("Lambda")[-1])}
+                    "Lambda_end": float(series.column("Lambda")[-1]),
+                    "neg_clips": len(solver.neg_clips),
+                    "neg_clip_min": min(solver.neg_clips, default=0.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +457,8 @@ def _run_sweep(cls_cfg: lsw_classical.ClassicalRunConfig,
         l_gap = float(np.max(np.abs(l_eps[before] - cls_series.column("L")[before])))
         rate_eps, _ = diagnostics.coarsening_rate(series, big_t)
         per_eps.append({"eps": run_cfg.eps, "tail_distance": dist, "L_gap_max": l_gap,
-                        "rate_gap": abs(rate_eps - rate_cls_sa), "probe_table": table})
+                        "rate": rate_eps, "rate_gap": abs(rate_eps - rate_cls_sa),
+                        "probe_table": table})
         _write_snapshots(out_dir, "t,x_center,c", solver.grid.centers,
                          [(f"density_eps{run_cfg.eps}.csv", t_snap, cbar)])
 

@@ -109,16 +109,16 @@ def test_01_equilibrium_stationarity(verdict):
         model=MODEL, closure=bd.FullClosure(rho=rho), initial=gamma,
         t_end=10.0, output_stride=1.0,
     )
-    _, snaps = bd.run_bd(cfg)
+    _, snaps, _ = bd.run_bd(cfg)
     drift = max(float(np.max(np.abs(c - gamma))) for _, c in snaps)
     verdict(1, "equilibrium data is stationary (max drift <= 1e-8)",
             drift <= 1e-8, f"drift={drift:.3e}")
 
 
 def test_02_conservation(verdict, bd_full_run, bd_dirichlet_run, diffusive_run):
-    full_series, _ = bd_full_run
+    full_series, *_ = bd_full_run
     full_drift = float(np.max(np.abs(full_series.column("mass") - 1.5)))
-    dir_series, _ = bd_dirichlet_run
+    dir_series, *_ = bd_dirichlet_run
     dir_drift = float(np.max(np.abs(dir_series.column("mass") - 1.0)))
     diff_series = diffusive_run[0]
     diff_drift = float(np.max(np.abs(diff_series.column("mass_residual"))))
@@ -130,7 +130,7 @@ def test_02_conservation(verdict, bd_full_run, bd_dirichlet_run, diffusive_run):
 
 
 def test_03_dirichlet_structure(verdict, bd_dirichlet_run):
-    series, _ = bd_dirichlet_run
+    series, *_ = bd_dirichlet_run
     c1 = series.column("c1")
     g = series.column("g")
     ok = bool(np.all(c1 > MODEL.z_s)) and bool(np.all(np.diff(g) < 0))

@@ -235,7 +235,7 @@ class TestErrorControl:
     @pytest.fixture(scope="class")
     def history(self):
         """Two Dirichlet states of a band-200 run, at t = 0.98 and t = 1."""
-        _, snaps = bd.run_bd(bd.BdRunConfig(
+        _, snaps, _ = bd.run_bd(bd.BdRunConfig(
             model=MODEL, closure=bd.DirichletClosure(),
             initial=coarsening_data(ell_max=200), t_end=1.0, output_stride=0.02,
         ))
@@ -322,15 +322,32 @@ class TestRun:
             model=MODEL, closure=bd.FullClosure(rho=rho), initial=gamma,
             t_end=2.0, output_stride=1.0,
         )
-        series, snaps = bd.run_bd(cfg)
+        series, snaps, _ = bd.run_bd(cfg)
         assert np.max(np.abs(snaps[-1][1] - gamma)) <= 1e-8
+
+    def test_full_closure_from_no_monomers(self, monkeypatch):
+        # c1 is 0 at t = 0 up to rounding (1.1e-16 here), from where a bracket
+        # about c1 widens slowly: the first root-find takes [0, rho] instead
+        rho, brackets, brentq = 1.0, [], bd.brentq
+
+        def recorded(f, lo, hi, **kwargs):
+            brackets.append((lo, hi))
+            return brentq(f, lo, hi, **kwargs)
+
+        monkeypatch.setattr(bd, "brentq", recorded)
+        series, *_ = bd.run_bd(bd.BdRunConfig(
+            model=MODEL, closure=bd.FullClosure(rho=rho), initial=coarsening_data(ell_max=100),
+            t_end=0.5, output_stride=0.25))
+        assert brackets[0] == (0.0, rho)
+        assert all(hi - lo < 1e-2 * rho for lo, hi in brackets[-10:])
+        assert np.max(np.abs(series.column("mass") - rho)) <= 1e-8
 
     def test_dirichlet_structure(self):
         cfg = bd.BdRunConfig(
             model=MODEL, closure=bd.DirichletClosure(),
             initial=coarsening_data(), t_end=10.0, output_stride=0.5,
         )
-        series, snaps = bd.run_bd(cfg)
+        series, snaps, _ = bd.run_bd(cfg)
         assert np.all(series.column("c1") > MODEL.z_s)
         assert np.all(np.diff(series.column("g")) < 0)
         assert np.max(np.abs(series.column("mass") - 1.0)) <= 1e-8
@@ -341,7 +358,7 @@ class TestRun:
             model=MODEL, closure=bd.DirichletClosure(),
             initial=coarsening_data(ell_max=600), t_end=20.0, output_stride=0.5,
         )
-        series, _ = bd.run_bd(cfg)
+        series, *_ = bd.run_bd(cfg)
         c1 = series.column("c1")
         quarter = float(np.interp(5.0, series.times, c1))
         assert c1[-1] < quarter
@@ -350,7 +367,7 @@ class TestRun:
         # the reference is DOP853 over bd_rhs, one run to t_end
         gamma = coarsening_data(ell_max=200)
         closure = bd.DirichletClosure()
-        _, snaps = bd.run_bd(bd.BdRunConfig(
+        _, snaps, _ = bd.run_bd(bd.BdRunConfig(
             model=MODEL, closure=closure, initial=gamma, t_end=2.0, output_stride=0.5,
         ))
         ref = solve_ivp(lambda _, c: bd.bd_rhs(c, MODEL, closure), (0.0, 2.0), gamma,

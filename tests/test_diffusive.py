@@ -111,11 +111,37 @@ class TestDetermineL:
         for limiter in (True, False):
             states = ops.edge_states(c, limiter)
             for dt in (1e-4, 1e-3, 1e-2):
-                L = determine_L(c, ops, states, dt=dt)
+                L = determine_L(c, ops, states, dt, ops.moment_l(c))
                 assert L == pytest.approx(_determine_l_by_solves(c, ops, states, dt),
                                           rel=1e-10)
                 c_new = ops.diffusion_solve(c + dt * ops.advective_rate(states, L), dt)
                 assert abs(float(xw @ c_new) - float(xw @ c)) <= 1e-13
+
+
+    @pytest.mark.parametrize("limiter", [True, False])
+    @pytest.mark.parametrize("dt", [1e-4, 1e-3, 1e-2])
+    def test_any_guess_finds_the_root(self, limiter, dt):
+        # guesses off by more than the spread widen the bracket first
+        c, ops = _exp_data()
+        states = ops.edge_states(c, limiter)
+        root = _determine_l_from_moment(c, ops, states, dt)
+        for factor in (0.5, 1.0, 2.0, 10.0):
+            assert determine_L(c, ops, states, dt, factor * root) == pytest.approx(
+                root, rel=1e-12)
+
+
+def _determine_l_from_moment(c, ops, states, dt):
+    """The conservative L from the prefix-sum defect, bracketed about the
+    moment value as [L/2, 2L]."""
+    _, z_minus_x, a = ops.for_dt(dt)
+    from_left, from_right = states
+    rows = ops.defect_rows
+    args = (float(z_minus_x @ (c * ops.grid.widths)), dt, ops.inner_edges,
+            *_split_sums(rows * (a * from_right), rows * (a * from_left)))
+    l_mom = ops.moment_l(c)
+    lo, hi = bracket(lambda L: _mass_defect(L, *args), 0.5 * l_mom, 2.0 * l_mom,
+                     origin=0.0, increasing=False)
+    return brentq(_mass_defect, lo, hi, args=args, xtol=1e-13, rtol=8.9e-16)
 
 
 def _determine_l_by_solves(c, ops, states, dt):
@@ -169,8 +195,8 @@ class TestMassDefect:
         L, base, dt, edges, a_left, a_right = case
         cbrt_e = np.cbrt(edges)
         value = _mass_defect(L, base, dt, edges.tolist(),
-                             _split_sums(cbrt_e * a_right, cbrt_e * a_left).tolist(),
-                             _split_sums(a_right, a_left).tolist())
+                             _split_sums(cbrt_e * a_right, cbrt_e * a_left),
+                             _split_sums(a_right, a_left))
         # rounding differs: cube roots taken apart, sums in another order
         scale = abs(base) + dt * float((np.cbrt(edges / L) + 1.0)
                                        @ (np.abs(a_left) + np.abs(a_right)))
@@ -203,9 +229,13 @@ def _upwind_bands(ops, L):
 
 
 class TestAdjointBands:
-    @pytest.mark.parametrize("L", [1e-3, 0.7, 3.0, 1e3])
+    # below the first interior edge (k = 0), between edges, on the first, a
+    # middle and the last interior edge (u = 0 there), above the last (k = n - 1)
+    @pytest.mark.parametrize("L", [1e-3, 0.7, 3.0, "edge 1", "edge 64", "edge 127", 1e3])
     def test_equal_the_weighted_transpose(self, L):
         c, ops = _exp_data()
+        if isinstance(L, str):
+            L = float(ops.grid.edges[int(L.split()[1])])
         upwind = _upwind_bands(ops, L)
         # the oracle is the forward scheme without the limiter
         assert np.allclose(matvec(upwind, c),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from coarsenlab import cli, harness, initial_data, lsw_diffusive
+from coarsenlab import bd, cli, harness, initial_data, lsw_diffusive
 from coarsenlab.harness import KINDS, parse_config, run_experiment, tail_quantile_probes
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -456,6 +456,25 @@ def test_run_shorter_than_a_quarter_stride(cfg, tmp_path):
     times = np.loadtxt(tmp_path / "series.csv", delimiter=",", skiprows=1)[:, 0]
     assert len(times) == 2 and times[0] == 0.0
     assert times[1] == pytest.approx(cfg["t_end"], rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind, solver", [("bd", bd), ("diffusive", lsw_diffusive)])
+def test_summary_reports_negativity_clips(kind, solver, tmp_path, monkeypatch):
+    def details(out):
+        run_experiment({"kind": kind, **TINY[kind][0]}, str(tmp_path / out))
+        summary = json.load(open(tmp_path / out / "summary.json"))["details"]
+        return summary["neg_clips"], summary["neg_clip_min"]
+
+    assert details("plain") == (0, 0.0)
+    clip, calls = solver.clip_negatives, []
+
+    def clipping(c, log):  # every step logs a clip, deeper than the one before
+        calls.append(-1e-13 * (len(calls) + 1))
+        log.append(calls[-1])
+        return clip(c, log)
+
+    monkeypatch.setattr(solver, "clip_negatives", clipping)
+    assert details("clipped") == (len(calls), calls[-1])
 
 
 class TestDiffusiveExperiment:

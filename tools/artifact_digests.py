@@ -18,7 +18,9 @@ sweep's two classical rates
 (``classical_rate_semi_analytic``, ``classical_rate_fd``), printed in full
 precision.  The Monte Carlo lines also print each probe's estimate ``mean``
 and its ``stderr``, so a change of random stream shows how far the estimates
-moved in standard errors.  Run it on two commits and compare the lines; equal
+moved in standard errors, and the sweep line each rung's diffusive ``rate``
+and ``rate_gap``, so a change to the diffusive step shows how far the whole
+ladder moved.  Run it on two commits and compare the lines; equal
 digests mean byte-identical artifacts, and where they differ the scalars show
 how far the results moved.  The whole set takes a few minutes on two cores.
 """
@@ -88,7 +90,8 @@ def tree_digest(root: str) -> tuple[int, str, str]:
 
 
 def gated_scalars(out: str) -> str:
-    """``key value`` pairs of the gated scalars and Monte Carlo estimates in ``out/summary.json``."""
+    """``key value`` pairs of the gated scalars, Monte Carlo estimates and sweep rates in
+    ``out/summary.json``."""
     try:
         with open(os.path.join(out, "summary.json")) as fh:
             details = json.load(fh).get("details", {})
@@ -102,6 +105,8 @@ def gated_scalars(out: str) -> str:
                   for name, vals in sorted(details.get(group, {}).items())]
     pairs += [(f"{key}[{i}]", record[key]) for i, record in enumerate(details.get("records", []))
               for key in ("pde", "mean", "stderr")]
+    pairs += [(f"{key}[{i}]", rung[key]) for i, rung in enumerate(details.get("ladder", []))
+              for key in ("rate", "rate_gap")]
     return "".join(f"  {key} {value!r}" for key, value in pairs)
 
 

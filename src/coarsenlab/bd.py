@@ -1,34 +1,30 @@
 """Time integration of the truncated Becker-Doring cluster system.
 
-Two closures for the monomer density are supported:
+Two closures fix the monomer density c1, and each class is the one place that
+knows how it differs from the other:
 
-* full -- the mass-conserving system: ``c1 = max(rho - sum_{ell>=2} ell c_ell, 0)``.
-* dirichlet -- the coarsening system with ``c(1,t) = 0`` in the state and the
-  monomer density chosen so that the mass carried by ``ell >= 2`` stays exactly
-  at its (normalized) initial value 1; at vanishing step size this reduces to
-  the flux-balance formula ``c1 = z_s + (a1 q g + b2 c2) / sum a_ell c_ell``.
+* ``FullClosure`` -- the mass-conserving system, ``c1 = max(rho - sum_{ell>=2}
+  ell c_ell, 0)``, rho the initial mass.  c1 counts as the size-1 clusters: in
+  the ell = 1 slot, in every moment, and as pair creation a1 c1^2 into ell = 2.
+* ``DirichletClosure`` -- the coarsening system with ``c(1,t) = 0``: c1 keeps
+  the mass on ``ell >= 2`` at 1, at vanishing step size the flux-balance
+  formula ``c1 = z_s + (a1 q g + b2 c2) / sum a_ell c_ell``.  It drops the
+  monomers of initial data and scales the rest to unit mass.
 
-The default integrator is a semi-implicit trapezoidal scheme: for a frozen
-monomer density the truncated system is affine tridiagonal in the cluster
-densities, dc/dt = A(c1) c + r(c1), so each stage is one banded solve
-(``banded.solve_banded``).  The monomer density is fixed per step by a scalar
-root-find that makes the closure hold at the committed state (this keeps
-conservation structural rather than approximate).  For the Dirichlet closure
-its bracket (``banded.bracket``) starts 1e-3 either side of the flux-balance
-guess, relative to c1 - z_s.  A(c1) = A0 + c1 A1 is split once per run, so a
-trial monomer density costs one band update and one solve; a step solves each
-trial once, however often the root-find asks for it, and commits the solve at
-the root.  The step size is controlled by Milne's device: a quadratic
-predictor through the previous accepted state, the current one and the slope
-there gives the trapezoid's local error from the one step each attempt takes,
-so an attempt costs one root-find.  ``diagnostics.march`` clips the steps to
-the output times and aborts on mass drift.  ``tests/test_bd.py`` checks the
-scheme against DOP853 over ``bd_rhs``.
-
-The model functions work on plain arrays.  ``bd_rhs`` takes the densities
-c_ell for ell = 1..ell_max, whose first entry is the monomer slot; the monomer
-closures take only the cluster densities for ell = 2..ell_max, which is what
-the steppers carry as their state.
+The integrator is a semi-implicit trapezoidal scheme: for a frozen c1 the
+truncated system is affine tridiagonal in the cluster densities, dc/dt =
+A(c1) c + r(c1), so each stage is one banded solve (``banded.solve_banded``).
+c1 is fixed per step by a root-find on the closure's defect and bracket
+(``banded.bracket``), so the closure holds at the committed state.  A(c1) =
+A0 + c1 A1 is split once per run, so a trial c1 costs one band update and one
+solve; a step solves each trial once and commits the solve at the root.  The
+step size follows Milne's device: a quadratic predictor through the previous
+accepted state, the current one and the slope there gives the trapezoid's
+local error from the one step each attempt takes, so an attempt costs one
+root-find.  ``diagnostics.march`` clips the steps to the output times and
+aborts on mass drift.  ``tests/test_bd.py`` checks the scheme against DOP853
+over ``bd_rhs``, which takes c_ell for ell = 1..ell_max; the stepper's state
+and the closures' ``c1`` take only ell = 2..ell_max.
 """
 
 from __future__ import annotations
@@ -49,8 +45,6 @@ __all__ = [
     "DirichletClosure",
     "BdRunConfig",
     "BdRunError",
-    "monomer_closure_full",
-    "monomer_closure_dirichlet",
     "bd_rhs",
     "run_bd",
     "truncation_bound",
@@ -59,11 +53,12 @@ __all__ = [
 
 _RTOL = 1e-9  # local error tolerance of the semi-implicit stepper
 _ATOL = 1e-12
-# The bracket starts this far either side of c1 at the step's start, relative
-# to c1 - z_s (Dirichlet) or c1 (full); on the benchmark's Dirichlet run the
-# root's (c1 - z_s)/(guess - z_s) lies in [0.99986, 0.9999997] over all 3,670
-# root-finds.  ``bracket`` widens it when the root lies outside.
+# The bracket starts this far either side of c1 at the step's start, relative to
+# c1 - z_s (Dirichlet) or c1 (full), and widens when the root lies outside; on the
+# benchmark's Dirichlet run every root's (c1 - z_s)/(guess - z_s) is in [0.99986, 0.9999997].
 _GUESS_SPREAD = 1e-3
+
+Trapezoid = Callable[[float], np.ndarray]  # trial c1 -> the step's new cluster densities
 
 
 class BdRunError(RuntimeError):
@@ -75,12 +70,38 @@ class FullClosure:
     rho: float
     name = "full"
 
+    @classmethod
+    def for_data(cls, gamma: np.ndarray) -> tuple[FullClosure, np.ndarray]:
+        """The closure that conserves the mass of ``gamma``, and ``gamma`` as its state."""
+        return cls(float(np.arange(1, len(gamma) + 1) @ gamma)), gamma
+
     @property
     def mass(self) -> float:
         return self.rho
 
     def c1(self, c: np.ndarray, model: RateModel) -> float:
-        return monomer_closure_full(c, self.rho)
+        """``c`` holds the cluster densities c_ell for ell = 2..ell_max."""
+        ells = np.arange(2, len(c) + 2)
+        return float(max(self.rho - ells @ c, 0.0))
+
+    def monomers(self, c1: float) -> float:
+        """The density c(1, t) of size-1 clusters at monomer density c1."""
+        return c1
+
+    def root_find(self, c: np.ndarray, trapezoid: Trapezoid, ells: np.ndarray, c1_now: float,
+                  model: RateModel) -> tuple[Callable[[float], float], tuple[float, float]]:
+        """(defect, bracket) of the step's c1: the closure at the step's midpoint."""
+        rho = self.rho
+
+        def defect(c1: float) -> float:
+            mid = 0.5 * (c + trapezoid(c1))
+            return c1 - max(rho - float(ells @ mid), 0.0)
+
+        # c1 = 0 at c up to rounding, as at t = 0 for ``bins`` data: a bracket
+        # about 0 widens to the root slowly, from exactly 0 not at all
+        if c1_now <= 1e-12 * rho:
+            return defect, (0.0, rho)
+        return defect, _bracket_about(defect, c1_now, 0.0)
 
 
 @dataclass(frozen=True)
@@ -88,8 +109,48 @@ class DirichletClosure:
     name = "dirichlet"
     mass = 1.0  # on ell >= 2; the state holds no monomers
 
+    @classmethod
+    def for_data(cls, gamma: np.ndarray) -> tuple[DirichletClosure, np.ndarray]:
+        """The closure, and ``gamma`` without monomers at unit mass; data without any is
+        kept as it is, since scaling unit-mass data again would move its last bits."""
+        if gamma[0] == 0.0:
+            return cls(), gamma
+        clusters = np.concatenate(([0.0], gamma[1:]))
+        return cls(), clusters / float(np.arange(1, len(gamma) + 1) @ clusters)
+
     def c1(self, c: np.ndarray, model: RateModel) -> float:
-        return monomer_closure_dirichlet(c, model)
+        """Flux-balance c1, above z_s for nonempty states; ``c`` holds ell = 2..ell_max."""
+        ells = np.arange(2, len(c) + 2)
+        denom = float(model.attach(ells) @ c)
+        if denom <= 0.0:
+            raise ZeroDivisionError("degenerate state: no clusters with ell >= 2")
+        numer = model.a1 * model.q * float(c.sum()) + float(model.detach(2)) * float(c[0])
+        return model.z_s + numer / denom
+
+    def monomers(self, c1: float) -> float:
+        """The density c(1, t) of size-1 clusters: none."""
+        return 0.0
+
+    def root_find(self, c: np.ndarray, trapezoid: Trapezoid, ells: np.ndarray, c1_now: float,
+                  model: RateModel) -> tuple[Callable[[float], float], tuple[float, float]]:
+        """(defect, bracket) of the step's c1: the mass on ell >= 2 kept."""
+        mass0 = float(ells @ c)
+
+        def defect(c1: float) -> float:
+            return float(ells @ trapezoid(c1)) - mass0
+
+        return defect, _bracket_about(defect, c1_now, model.z_s)
+
+
+Closure = FullClosure | DirichletClosure
+
+
+def _bracket_about(defect: Callable[[float], float], c1_now: float,
+                   origin: float) -> tuple[float, float]:
+    """``bracket`` from ``_GUESS_SPREAD`` either side of c1_now, relative to c1_now - origin."""
+    excess = c1_now - origin
+    return bracket(defect, origin + (1.0 - _GUESS_SPREAD) * excess,
+                   origin + (1.0 + _GUESS_SPREAD) * excess, origin=origin, increasing=True)
 
 
 @dataclass
@@ -97,7 +158,7 @@ class BdRunConfig:
     """A field with ``json`` metadata is a ``bd`` config key: its JSON type and default."""
 
     model: RateModel
-    closure: FullClosure | DirichletClosure
+    closure: Closure
     initial: np.ndarray  # gamma_ell, ell = 1..ell_max
     t_end: float = field(default=10.0, metadata={"json": float})
     dt_init: float = field(default=1e-3, metadata={"json": float})
@@ -109,8 +170,8 @@ class BdRunConfig:
             raise ValueError("initial data must be a 1-D array")
         if np.any(gamma < 0):
             raise ValueError("initial data must be nonnegative")
-        if isinstance(self.closure, DirichletClosure) and gamma[0] != 0.0:
-            raise ValueError("dirichlet closure requires gamma_1 = 0")
+        if gamma[0] != self.closure.monomers(gamma[0]):  # the closure fixes the ell = 1 slot
+            raise ValueError(f"{self.closure.name} closure requires gamma_1 = 0")
         ref = self.closure.mass
         mass = float(np.arange(1, len(gamma) + 1) @ gamma)
         if not np.isclose(mass, ref, rtol=1e-10, atol=1e-12):
@@ -124,31 +185,7 @@ class BdRunConfig:
             raise ValueError("dt_init must be positive")
 
 
-def monomer_closure_full(c: np.ndarray, rho: float) -> float:
-    """c1 = max(rho - sum_(ell>=2) ell c_ell, 0); ``c`` holds ell = 2..ell_max."""
-    ells = np.arange(2, len(c) + 2)
-    return float(max(rho - ells @ c, 0.0))
-
-
-def monomer_closure_dirichlet(c: np.ndarray, model: RateModel) -> float:
-    """Flux-balance monomer density; always exceeds z_s for nonempty states.
-
-    ``c`` holds the cluster densities c_ell for ell = 2..ell_max.
-    """
-    ells = np.arange(2, len(c) + 2)
-    denom = float(model.attach(ells) @ c)
-    if denom <= 0.0:
-        raise ZeroDivisionError("degenerate state: no clusters with ell >= 2")
-    b2 = float(model.detach(2))
-    numer = model.a1 * model.q * float(c.sum()) + b2 * float(c[0])
-    return model.z_s + numer / denom
-
-
-def bd_rhs(
-    c: np.ndarray,
-    model: RateModel,
-    closure: FullClosure | DirichletClosure,
-) -> np.ndarray:
+def bd_rhs(c: np.ndarray, model: RateModel, closure: Closure) -> np.ndarray:
     """Time derivatives dc_ell/dt = J_(ell-1) - J_ell for ell >= 2.
 
     ``c`` holds c_ell for ell = 1..ell_max; its monomer slot ``c[0]`` is not
@@ -183,7 +220,7 @@ class _Tridiag:
     """Affine tridiagonal system dc/dt = A(c1) c + r(c1) for ell = 2..ell_max,
     with A(c1) = A0 + c1 A1 split once, in the layout of :mod:`coarsenlab.banded`."""
 
-    def __init__(self, model: RateModel, ell_max: int, full: bool):
+    def __init__(self, model: RateModel, ell_max: int, closure: Closure):
         ells = np.arange(2, ell_max + 1, dtype=float)
         a, b = model.attach(ells), model.detach(ells)  # a_ell, b_ell
         self.op0 = np.zeros((3, len(ells)))  # A0 = A(0)
@@ -193,9 +230,9 @@ class _Tridiag:
         self.op1[1, :-1] = -a[:-1]  # zero flux out of the top bin
         self.op1[2, :-1] = model.attach(ells[1:] - 1)  # a_(ell-1)
         self.a1 = model.a1
-        self.full = full
+        self.monomers = closure.monomers  # r(c1) = a_1 c1 c(1) at ell = 2: pair creation
 
-    def trapezoid(self, c: np.ndarray, dt: float) -> Callable[[float], np.ndarray]:
+    def trapezoid(self, c: np.ndarray, dt: float) -> Trapezoid:
         """c1 -> c_new with (I - h A) c_new = (I + h A) c + dt r, h = dt/2."""
         h = 0.5 * dt
         lhs0, lhs1 = shifted(h, self.op0), h * self.op1
@@ -203,8 +240,7 @@ class _Tridiag:
 
         def solve(c1: float) -> np.ndarray:
             rhs = rhs0 + c1 * rhs1
-            if self.full:
-                rhs[0] += dt * self.a1 * c1 * c1
+            rhs[0] += dt * self.a1 * c1 * self.monomers(c1)
             return solve_banded(lhs0 - c1 * lhs1, rhs)
 
         return solve
@@ -212,25 +248,18 @@ class _Tridiag:
     def rate(self, c: np.ndarray, c1: float) -> np.ndarray:
         """dc/dt = A(c1) c + r(c1)."""
         out = matvec(self.op0, c) + c1 * matvec(self.op1, c)
-        if self.full:
-            out[0] += self.a1 * c1 * c1
+        out[0] += self.a1 * c1 * self.monomers(c1)
         return out
 
 
-def _step_semi_implicit(
-    c: np.ndarray,
-    dt: float,
-    model: RateModel,
-    closure: FullClosure | DirichletClosure,
-    tri: _Tridiag,
-    ells: np.ndarray,
-    c1_now: float,
-) -> tuple[np.ndarray, float]:
-    """One trapezoidal step; the monomer density is fixed by a root-find.
+def _step_semi_implicit(c: np.ndarray, dt: float, model: RateModel, closure: Closure,
+                        tri: _Tridiag, ells: np.ndarray,
+                        c1_now: float) -> tuple[np.ndarray, float]:
+    """One trapezoidal step; the monomer density is fixed by the closure's root-find.
 
-    The bracket starts around ``c1_now``, the closure's at ``c``, or is ``[0, rho]``.
-    Each trial ``c1`` is solved once: brentq evaluates the bracket's ends
-    again, and the committed state is the solve at the root it returns.
+    Its bracket starts around ``c1_now``, the closure's at ``c``.  Each trial ``c1``
+    is solved once: brentq evaluates the bracket's ends again, and the committed
+    state is the solve at the root it returns.
     """
     solve = tri.trapezoid(c, dt)
     solved: dict[float, np.ndarray] = {}
@@ -241,25 +270,7 @@ def _step_semi_implicit(
             c_new = solved[c1] = solve(c1)
         return c_new
 
-    if isinstance(closure, FullClosure):
-        origin, rho = 0.0, closure.rho
-        # c1 = 0 at c up to rounding, as at t = 0 for ``bins`` data: a bracket
-        # about 0 widens to the root slowly, from exactly 0 not at all
-        start = (0.0, rho) if c1_now <= 1e-12 * rho else None
-
-        def defect(c1: float) -> float:
-            mid = 0.5 * (c + trapezoid(c1))
-            return c1 - max(rho - float(ells @ mid), 0.0)
-    else:
-        origin, start, mass0 = model.z_s, None, float(ells @ c)
-
-        def defect(c1: float) -> float:
-            return float(ells @ trapezoid(c1)) - mass0
-
-    if start is None:
-        excess = c1_now - origin
-        start = bracket(defect, origin + (1.0 - _GUESS_SPREAD) * excess,
-                        origin + (1.0 + _GUESS_SPREAD) * excess, origin=origin, increasing=True)
+    defect, start = closure.root_find(c, trapezoid, ells, c1_now, model)
     c1 = brentq(defect, *start, xtol=1e-15, rtol=8.9e-16)
     c_new = trapezoid(c1)
     # brentq's nan guard keeps ``defect`` in a reference cycle, so the states
@@ -305,25 +316,23 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
     """
     config.validate()
     model, closure = config.model, config.closure
-    full = isinstance(closure, FullClosure)
     gamma = np.asarray(config.initial, dtype=float)
     ell_max = len(gamma)
     ells = np.arange(2, ell_max + 1, dtype=float)
     bound = truncation_bound(closure.mass, ell_max)
-    tri = _Tridiag(model, ell_max, full)
+    tri = _Tridiag(model, ell_max, closure)
     c = gamma[1:].copy()
+    c1 = closure.c1(c, model)  # the closure's monomer density at c
     dt = config.dt_init
     rows, snapshots, neg_log = [], [], []
     previous = None  # (state, step) of the last accepted step
 
     def record(t: float, _) -> None:
-        rows.append(_row(t, c, config, ells))
-        # the snapshot's monomer slot holds the full closure's c1; the Dirichlet state has none
-        snapshots.append((t, np.concatenate(([rows[-1]["c1"] if full else 0.0], c))))
+        rows.append(_row(t, c, c1, config, ells))
+        snapshots.append((t, np.concatenate(([closure.monomers(c1)], c))))
 
     def step(t: float, h: float, clipped: bool) -> float:
-        nonlocal c, dt, previous
-        c1 = closure.c1(c, model)
+        nonlocal c, c1, dt, previous
         slope = tri.rate(c, c1)
         while True:
             if h < 1e-14:
@@ -343,18 +352,17 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
         if c[-1] > bound:
             raise BdRunError(f"truncation saturation: c_ell_max = {c[-1]:.3e} at "
                              f"t = {t + h}; increase ell_max")
+        c1 = closure.c1(c, model)
         return h
 
     march(output_times(config.t_end, config.output_stride), lambda: dt, step, record,
-          lambda: float(ells @ c) + (monomer_closure_full(c, closure.rho) if full else 0.0))
+          lambda: float(ells @ c) + closure.monomers(c1))
     return TrajectorySeries.from_rows(rows, f"bd:{closure.name}:semi-implicit"), snapshots, neg_log
 
 
-def _row(t: float, c: np.ndarray, config: BdRunConfig, ells: np.ndarray) -> dict:
-    """The series row of the cluster densities ``c`` (ell = 2..ell_max) at t."""
-    c1 = config.closure.c1(c, config.model)
-    # size-1 clusters add c1 to every moment; the Dirichlet state holds none
-    monomers = c1 if isinstance(config.closure, FullClosure) else 0.0
+def _row(t: float, c: np.ndarray, c1: float, config: BdRunConfig, ells: np.ndarray) -> dict:
+    """The series row at t of the cluster densities ``c`` (ell = 2..ell_max) and c1."""
+    monomers = config.closure.monomers(c1)  # size-1 clusters add to every moment
     number, mass, energy, scale = (monomers + m for m in moments(ells, c))
     lam = mass / number if number > 0 else np.nan
     z_s = config.model.z_s

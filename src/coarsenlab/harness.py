@@ -207,13 +207,12 @@ def tail_quantile_probes(tail: initial_data.InitialTail, n: int = 16) -> np.ndar
 # bd experiment
 
 
-# bd initial kinds and closure types; a default of None is derived from the
-# run: c1 is 0.9 z_s, rho the initial mass
+# bd closure types, which take no fields, and initial kinds; c1 defaults to 0.9 z_s
+_CLOSURES = {cls.name: cls for cls in (bd_mod.FullClosure, bd_mod.DirichletClosure)}
 _BD = {
     "model": (dict, {}, functools.partial(
         _read, table={name: (float, 1.0) for name in ("a1", "z_s", "q")})),
-    "closure": (dict, {"type": "dirichlet"},
-                _tagged("type", {"full": {"rho": (float, None)}, "dirichlet": {}})),
+    "closure": (dict, {"type": "dirichlet"}, _tagged("type", dict.fromkeys(_CLOSURES, {}))),
     "ell_max": (int, 400, _at_least(3)),
     "initial": (dict, _REQUIRED, _tagged("kind", {"equilibrium": {"c1": (float, None)},
                                                   "bins": {"entries": (list[list],)}})),
@@ -235,22 +234,16 @@ def _bd_initial(spec: dict, model: RateModel, ell_max: int) -> np.ndarray:
         gamma[pair[0] - 1] = pair[1]
     mass = float(np.arange(1, ell_max + 1) @ gamma)
     _require(mass > 0, "entries: carry no mass")
-    return gamma / mass  # Dirichlet normalization: unit mass on ell >= 2
+    return gamma / mass  # unit mass, all on ell >= 2
 
 
 def _parse_bd(values: dict, refine: bool):
     model = _get(values, "model", dict, check=lambda spec: RateModel(**spec))
     ell_max = values["ell_max"]
     gamma = _get(values, "initial", dict, check=lambda spec: _bd_initial(spec, model, ell_max))
-    closure = values["closure"]
-    full = closure["type"] == "full"
-    if full and closure["rho"] is None:
-        closure["rho"] = float(np.arange(1, ell_max + 1) @ gamma)
-    if not full:
-        gamma[0] = 0.0
+    closure, gamma = _CLOSURES[values["closure"]["type"]].for_data(gamma)
     return functools.partial(_run_bd, _config(
-        bd_mod.BdRunConfig, values, model=model, initial=gamma,
-        closure=bd_mod.FullClosure(closure["rho"]) if full else bd_mod.DirichletClosure()))
+        bd_mod.BdRunConfig, values, model=model, initial=gamma, closure=closure))
 
 
 # the columns a bd run is checked on: its series, "c_min" the least density of
@@ -487,11 +480,9 @@ def _payoff(spec):
 
 def _grid_payoff(spec, grid: lsw_diffusive.Grid) -> np.ndarray:
     """A read payoff on the cell centers; an indicator is smoothed over its cell."""
-    if spec == "one":
-        return np.ones(grid.n_cells)
-    if spec == "cuberoot":
-        return np.cbrt(grid.centers)
-    return lsw_diffusive.smoothed_indicator(grid, spec[1])
+    if isinstance(spec, tuple):
+        return lsw_diffusive.smoothed_indicator(grid, spec[1])
+    return sde.payoff_function(spec)(grid.centers)
 
 
 _MC = {

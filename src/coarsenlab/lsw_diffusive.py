@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -161,8 +160,10 @@ class _Operators:
         fluxes are 0 (Dirichlet/wall)."""
         from_left, from_right = states
         u = self.edge_velocity(L)
+        k = bisect_right(self.inner_edges, L)  # u <= 0 on the k edges at or below L
         flux = np.zeros(self.grid.n_cells + 1)
-        flux[1:-1] = np.where(u[1:-1] > 0, u[1:-1] * from_left, u[1:-1] * from_right)
+        np.multiply(u[1:k + 1], from_right[:k], out=flux[1:k + 1])
+        np.multiply(u[k + 1:-1], from_left[k:], out=flux[k + 1:-1])
         return -np.diff(flux) / self.grid.widths
 
     def adjoint_bands(self, L: float) -> np.ndarray:
@@ -390,7 +391,7 @@ def run_diffusive(config: DiffusiveRunConfig):
 
 
 def adjoint_solve(
-    w_terminal: Callable[[np.ndarray], np.ndarray] | np.ndarray,
+    w_terminal: np.ndarray,
     T: float,
     history: LHistory,
     eps: float,
@@ -398,17 +399,14 @@ def adjoint_solve(
 ) -> np.ndarray:
     """Backward solve of the adjoint equation; returns w(., 0) on cell centers.
 
-    ``w_terminal`` is the payoff: a callable evaluated at cell centers, or an
-    array already on the grid, of shape ``(n_cells,)`` or ``(n_cells, k)``
-    for ``k`` payoffs marched together, one solve per step for all columns.
+    ``w_terminal`` is the payoff on the cell centers, of shape ``(n_cells,)``
+    or ``(n_cells, k)`` for ``k`` payoffs marched together, one solve per step
+    for all columns.
     Indicator-like payoffs should be smoothed over a cell by the caller (see
     ``smoothed_indicator``).
     """
     ops = _Operators(grid, eps)
-    if callable(w_terminal):
-        w = np.asarray(w_terminal(grid.centers), dtype=float)
-    else:
-        w = np.asarray(w_terminal, dtype=float).copy()
+    w = np.asarray(w_terminal, dtype=float).copy()
     if w.ndim not in (1, 2) or w.shape[0] != grid.n_cells:
         raise ValueError(f"terminal payoff of shape {w.shape} does not match the "
                          f"grid's {grid.n_cells} cells")

@@ -63,23 +63,23 @@ class TestClosures:
     # the closures take the cluster densities c_ell for ell = 2..ell_max
 
     def test_full_all_monomers(self):
-        assert bd.monomer_closure_full(np.zeros(9), 1.0) == 1.0
+        assert bd.FullClosure(1.0).c1(np.zeros(9), MODEL) == 1.0
 
     def test_full_clamp(self):
         c = np.zeros(9)
         c[0] = 0.5  # ell=2 carries mass 1
-        assert bd.monomer_closure_full(c, 1.0) == 0.0
+        assert bd.FullClosure(1.0).c1(c, MODEL) == 0.0
 
     def test_full_arithmetic(self):
         c = np.zeros(9)
         c[0] = 0.25
-        assert bd.monomer_closure_full(c, 2.0) == pytest.approx(1.5)
+        assert bd.FullClosure(2.0).c1(c, MODEL) == pytest.approx(1.5)
 
     def test_dirichlet_hand_value(self):
         c = np.zeros(9)
         c[0] = 0.5
         expected = 1 + (0.5 + (2 ** (1 / 3) + 1) * 0.5) / (2 ** (1 / 3) * 0.5)
-        got = bd.monomer_closure_dirichlet(c, MODEL)
+        got = bd.DirichletClosure().c1(c, MODEL)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(3.587401, abs=1e-6)
 
@@ -87,17 +87,41 @@ class TestClosures:
         # one occupied bin at large size recovers c1 = z_s + q / size^{1/3}
         c = np.zeros(499)
         c[398] = 0.01  # ell = 400
-        got = bd.monomer_closure_dirichlet(c, MODEL)
+        got = bd.DirichletClosure().c1(c, MODEL)
         assert got == pytest.approx(1.0 + 400 ** (-1 / 3), rel=1e-12)
 
     def test_dirichlet_exceeds_saturation(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert bd.monomer_closure_dirichlet(rng.random(50), MODEL) > MODEL.z_s
+            assert bd.DirichletClosure().c1(rng.random(50), MODEL) > MODEL.z_s
 
     def test_dirichlet_degenerate(self):
         with pytest.raises(ZeroDivisionError):
-            bd.monomer_closure_dirichlet(np.zeros(9), MODEL)
+            bd.DirichletClosure().c1(np.zeros(9), MODEL)
+
+    def test_monomers(self):
+        # the size-1 clusters: the full closure's c1, none in the Dirichlet state
+        assert bd.FullClosure(1.0).monomers(0.3) == 0.3
+        assert bd.DirichletClosure().monomers(0.3) == 0.0
+
+    def test_full_for_data_conserves_the_initial_mass(self):
+        gamma = equilibrium_table(MODEL, 100).density(0.9)
+        closure, state = bd.FullClosure.for_data(gamma)
+        assert state is gamma
+        assert closure.rho == float(np.arange(1, 101) @ gamma)
+
+    def test_dirichlet_for_data_drops_monomers_at_unit_mass(self):
+        gamma = equilibrium_table(MODEL, 100).density(0.9)
+        closure, state = bd.DirichletClosure.for_data(gamma)
+        assert state[0] == 0.0 and gamma[0] == 0.9
+        assert float(np.arange(1, 101) @ state) == pytest.approx(1.0, rel=1e-15)
+        np.testing.assert_allclose(state[1:] / gamma[1:], state[1] / gamma[1], rtol=1e-15)
+        bd.BdRunConfig(model=MODEL, closure=closure, initial=state).validate()
+
+    def test_dirichlet_for_data_keeps_data_without_monomers(self):
+        # scaling unit-mass data again would move its last bits
+        gamma = coarsening_data(ell_max=100)
+        assert bd.DirichletClosure.for_data(gamma)[1] is gamma
 
 
 class TestRhs:
@@ -127,7 +151,7 @@ class TestRhs:
             c = rng.random(30) * 0.01
             c[0] = 0.0
             rho = float(ells @ c) + 0.3
-            c1 = bd.monomer_closure_full(c[1:], rho)
+            c1 = bd.FullClosure(rho).c1(c[1:], MODEL)
             c[0] = c1
             dc = bd.bd_rhs(c, MODEL, bd.FullClosure(rho=rho))
             j = np.append(MODEL.attach(ells[:-1]) * c1 * c[:-1]
@@ -153,10 +177,8 @@ class TestSemiImplicitStep:
     def test_solves_each_trial_c1_once(self, closure, monkeypatch):
         c = coarsening_data(ell_max=100)[1:]
         ells = np.arange(2, 101, dtype=float)
-        full = isinstance(closure, bd.FullClosure)
-        tri = bd._Tridiag(MODEL, 100, full=full)
-        c1_now = (bd.monomer_closure_full(c, closure.rho) if full
-                  else bd.monomer_closure_dirichlet(c, MODEL))
+        tri = bd._Tridiag(MODEL, 100, closure)
+        c1_now = closure.c1(c, MODEL)
         trials, solves = [], []
 
         def recording(search):  # bracket(f, ...) and brentq(f, ...)
@@ -186,7 +208,8 @@ class TestSemiImplicitStep:
            st.tuples(*[st.floats(0.5, 2.0)] * 3))
     def test_trial_solve_matches_whole_operator(self, c, dt, c1, full, coefficients):
         model = RateModel(*coefficients)
-        tri = bd._Tridiag(model, len(c) + 1, full)
+        closure = bd.FullClosure(rho=1.0) if full else bd.DirichletClosure()
+        tri = bd._Tridiag(model, len(c) + 1, closure)
         expected = _trapezoid_reference(model, c, dt, c1, full)
         tol = 1e-13 * max(float(np.max(np.abs(expected))), 1e-300)
         np.testing.assert_allclose(tri.trapezoid(c, dt)(c1), expected, rtol=0.0, atol=tol)
@@ -195,7 +218,7 @@ class TestSemiImplicitStep:
         # the first step of the band data moves c1 - z_s by 0.5% from the guess
         c = coarsening_data(ell_max=100)[1:]
         ells = np.arange(2, 101, dtype=float)
-        excess = bd.monomer_closure_dirichlet(c, MODEL) - MODEL.z_s
+        excess = bd.DirichletClosure().c1(c, MODEL) - MODEL.z_s
         brackets = []
 
         def recording(f, lo, hi, **kwargs):
@@ -204,7 +227,7 @@ class TestSemiImplicitStep:
 
         bracket = bd.bracket
         monkeypatch.setattr(bd, "bracket", recording)
-        tri = bd._Tridiag(MODEL, 100, full=False)
+        tri = bd._Tridiag(MODEL, 100, bd.DirichletClosure())
         c_new, c1 = bd._step_semi_implicit(c, 0.05, MODEL, bd.DirichletClosure(), tri, ells,
                                            excess + MODEL.z_s)
         [(start, found)] = brackets
@@ -245,17 +268,17 @@ class TestErrorControl:
     def test_estimate_matches_true_local_error(self, history):
         c_prev, tau, c = history
         closure = bd.DirichletClosure()
-        tri = bd._Tridiag(MODEL, 200, full=False)
+        tri = bd._Tridiag(MODEL, 200, closure)
         ells = np.arange(2, 201, dtype=float)
-        slope = tri.rate(c, bd.monomer_closure_dirichlet(c, MODEL))
+        slope = tri.rate(c, closure.c1(c, MODEL))
         estimates = []
         for h in (0.02, 0.01, 0.005):
             c_new, _ = bd._step_semi_implicit(c, h, MODEL, closure, tri, ells,
-                                              bd.monomer_closure_dirichlet(c, MODEL))
+                                              closure.c1(c, MODEL))
             fine = c
             for _ in range(256):
                 fine, _ = bd._step_semi_implicit(fine, h / 256, MODEL, closure, tri, ells,
-                                                 bd.monomer_closure_dirichlet(fine, MODEL))
+                                                 closure.c1(fine, MODEL))
             est = np.max(np.abs(bd._local_error(c, c_new, slope, h, (c_prev, tau))))
             assert 0.8 <= est / np.max(np.abs(c_new - fine)) <= 1.25
             estimates.append(est)

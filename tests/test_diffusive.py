@@ -245,6 +245,26 @@ class TestAdjointBands:
         np.testing.assert_allclose(ops.adjoint_bands(L), expected, rtol=1e-14, atol=0.0)
 
 
+class TestAdvectiveRate:
+    def test_equals_the_selected_upwind_flux(self):
+        # the flux by slices split at bisect_right(inner_edges, L), against the
+        # per-edge select on the sign of u: random L, every 8th interior edge
+        # and one ulp either side of it, limiter on and off
+        c, ops = _exp_data(eps=0.1, n_cells=512)
+        edges = ops.grid.edges[1:-1:8]
+        rng = np.random.default_rng(5)
+        Ls = np.concatenate((np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 100)), edges,
+                             np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)))
+        for limiter in (False, True):
+            states = ops.edge_states(c, limiter)
+            for L in Ls.tolist():
+                u = ops.edge_velocity(L)
+                flux = np.zeros(ops.grid.n_cells + 1)
+                flux[1:-1] = np.where(u[1:-1] > 0, u[1:-1] * states[0], u[1:-1] * states[1])
+                assert np.array_equal(ops.advective_rate(states, L),
+                                      -np.diff(flux) / ops.grid.widths)
+
+
 @pytest.fixture(scope="module")
 def reference_run():
     cfg = DiffusiveRunConfig(
@@ -366,21 +386,21 @@ class TestAdjoint:
         # here we just check the solve is stable and stays within [0, 1]
         grid = Grid.log_graded(0.25, 20.0, 128)
         hist = LHistory.constant(1.0, 0.25)
-        w = adjoint_solve(lambda x: np.ones_like(x), 0.25, hist, 0.25, grid)
+        w = adjoint_solve(np.ones(grid.n_cells), 0.25, hist, 0.25, grid)
         assert np.all(w >= -1e-12)
         assert np.all(w <= 1.0 + 1e-12)
 
     def test_survival_increases_with_start(self):
         grid = Grid.log_graded(0.25, 20.0, 256)
         hist = LHistory.constant(1.0, 0.25)
-        w = adjoint_solve(lambda x: np.ones_like(x), 0.25, hist, 0.25, grid)
+        w = adjoint_solve(np.ones(grid.n_cells), 0.25, hist, 0.25, grid)
         inner = grid.centers < 10.0
         assert np.all(np.diff(w[inner]) > -1e-10)
 
     def test_vanishes_at_boundary(self):
         grid = Grid.log_graded(0.25, 20.0, 256)
         hist = LHistory.constant(1.0, 0.25)
-        w = adjoint_solve(lambda x: np.ones_like(x), 0.25, hist, 0.25, grid)
+        w = adjoint_solve(np.ones(grid.n_cells), 0.25, hist, 0.25, grid)
         # absorption at 0 drives the solution down in the boundary layer
         assert w[0] < 0.5 * w[128]
 
@@ -389,11 +409,11 @@ class TestAdjoint:
         # only reduce survival
         grid = Grid.log_graded(0.25, 20.0, 256)
         w_small = adjoint_solve(
-            lambda x: np.ones_like(x), 0.25, LHistory.constant(1.0, 0.25),
+            np.ones(grid.n_cells), 0.25, LHistory.constant(1.0, 0.25),
             0.25, grid,
         )
         w_big = adjoint_solve(
-            lambda x: np.ones_like(x), 0.25, LHistory.constant(2.0, 0.25),
+            np.ones(grid.n_cells), 0.25, LHistory.constant(2.0, 0.25),
             0.25, grid,
         )
         assert np.all(w_big <= w_small + 1e-10)

@@ -73,6 +73,8 @@ CONFIG_FAULTS = [
     ("duality", {"n_cells": 8}, "n_cells"),
     ("bd", {"initial": {"kind": "bins", "entries": [[2, "x"]]}}, "entries"),
     ("bd", {"closure": "full"}, "closure"),
+    # the full closure conserves the initial mass; it takes no fields
+    ("bd", {"closure": {"type": "full", "rho": 1.0}}, "rho"),
     # BD has one scheme; the old knob is an unknown key
     ("bd", {"scheme": "explicit-adaptive"}, "scheme"),
     # the equilibrium density at ell_max 60 is past the truncation bound
@@ -264,10 +266,9 @@ class TestEffectiveConfig:
     def test_records_derived_values(self):
         values, _ = parse_config({"kind": "diffusive", "eps": 0.5, "n_cells": 16})
         assert values["x_max"] == 45.0 + 4.0 * (1.0 + 1.0)  # exponential data, t_end 1
-        values, run = parse_config({"kind": "bd", "closure": {"type": "full"}, "ell_max": 100,
-                                    "initial": {"kind": "equilibrium"}})
+        values, _ = parse_config({"kind": "bd", "closure": {"type": "full"}, "ell_max": 100,
+                                  "initial": {"kind": "equilibrium"}})
         assert values["initial"]["c1"] == 0.9
-        assert values["closure"]["rho"] == run.args[0].closure.rho > 0
 
     @pytest.mark.parametrize("initial, label", [
         ({"kind": "exponential-moment"}, "exponential-moment"),
@@ -414,6 +415,14 @@ class TestBdExperiment:
         names = {c["name"] for c in summary["checks"]}
         assert {"mass_conservation", "c1_above_saturation",
                 "g_strictly_decreasing"} <= names
+
+    def test_equilibrium_initial_dirichlet_closure(self, tmp_path):
+        # the default closure drops the monomers and scales the rest to unit mass
+        cfg = {"kind": "bd", "initial": {"kind": "equilibrium"}, "t_end": 1.0}
+        assert run_experiment(cfg, str(tmp_path)) == 0
+        summary = json.load(open(tmp_path / "summary.json"))
+        assert summary["details"]["closure"] == "dirichlet"
+        assert len(summary["checks"]) == 6
 
     def test_equilibrium_initial_full_closure(self, tmp_path):
         cfg = {

@@ -271,7 +271,7 @@ class TestEstimates:
         eps, T = 0.25, 0.25
         hist = LHistory.constant(1.0, T)
         grid = Grid.log_graded(eps, 25.0, 1024)
-        w0 = adjoint_solve(lambda x: np.ones_like(x), T, hist, eps, grid)
+        w0 = adjoint_solve(np.ones(grid.n_cells), T, hist, eps, grid)
         x_probe = 1.0
         pde = float(np.interp(x_probe, grid.centers, w0))
         est = estimate_survival_payoff(

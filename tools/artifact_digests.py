@@ -64,6 +64,10 @@ CONFIGS = [
     ("bd saturation", {"kind": "bd", "ell_max": 20, "closure": {"type": "dirichlet"},
                        "initial": {"kind": "bins", "entries": [[15, 1.0]]}, "t_end": 20.0},
      None, False),
+    # equilibrium data under the Dirichlet closure, which drops its monomers and
+    # scales the rest to unit mass
+    ("bd equilibrium", {"kind": "bd", "ell_max": 400, "closure": {"type": "dirichlet"},
+                        "initial": {"kind": "equilibrium"}, "t_end": 1.0}, None, False),
     # snapshot stops between and on the output times
     ("diffusive snapshots", {"kind": "diffusive", "eps": 0.2, "n_cells": 64, "t_end": 0.5,
                              "output_stride": 0.1, "snapshot_times": [0.15, 0.3]},

@@ -357,7 +357,7 @@ def run_bd(config: BdRunConfig) -> tuple[TrajectorySeries, list[tuple[float, np.
 
     march(output_times(config.t_end, config.output_stride), lambda: dt, step, record,
           lambda: float(ells @ c) + closure.monomers(c1))
-    return TrajectorySeries.from_rows(rows, f"bd:{closure.name}:semi-implicit"), snapshots, neg_log
+    return TrajectorySeries.from_rows(rows), snapshots, neg_log
 
 
 def _row(t: float, c: np.ndarray, c1: float, config: BdRunConfig, ells: np.ndarray) -> dict:

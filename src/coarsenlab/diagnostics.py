@@ -46,13 +46,11 @@ class TrajectorySeries:
     """Time series of diagnostics recorded along a run.
 
     ``columns`` maps names such as "Lambda", "L", "E", "M", "N", "mass" to
-    arrays aligned with ``times``.  ``provenance`` tags which solver and
-    configuration produced the series.
+    arrays aligned with ``times``.
     """
 
     times: np.ndarray
     columns: dict[str, np.ndarray] = field(default_factory=dict)
-    provenance: str = ""
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -65,15 +63,14 @@ class TrajectorySeries:
             self.columns[name] = col
 
     @classmethod
-    def from_rows(cls, rows: list[dict], provenance: str) -> "TrajectorySeries":
+    def from_rows(cls, rows: list[dict]) -> "TrajectorySeries":
         """Series of ``rows``, each ``"t"`` and one value per column by name.
 
         The columns take the order of the first row's keys.
         """
         names = [name for name in rows[0] if name != "t"]
         return cls(times=np.array([row["t"] for row in rows]),
-                   columns={name: np.array([row[name] for row in rows]) for name in names},
-                   provenance=provenance)
+                   columns={name: np.array([row[name] for row in rows]) for name in names})
 
     def __len__(self) -> int:
         return len(self.times)
@@ -335,7 +332,6 @@ def kohn_otto_report(series: TrajectorySeries) -> dict:
         ],
         "R_bounded": r_bounded,
         "T_doubling": t0,
-        "provenance": series.provenance,
     }
 
 

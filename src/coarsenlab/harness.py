@@ -328,8 +328,12 @@ _DIFFUSIVE = {
 def _diffusive_config(values: dict, tail: initial_data.InitialTail,
                       **fixed) -> lsw_diffusive.DiffusiveRunConfig:
     run_cfg = _config(lsw_diffusive.DiffusiveRunConfig, values, tail=tail, **fixed)
+    try:
+        solver = lsw_diffusive.DiffusiveSolver(run_cfg)
+    except ValueError as exc:  # the data's mass lies beyond the grid
+        raise ConfigError(f"x_max: {exc} [0, {run_cfg.grid_x_max!r}]") from None
     # the CFL step binds in the first cell, whose width scales with eps
-    steps = run_cfg.t_end / lsw_diffusive.DiffusiveSolver(run_cfg)._dt()
+    steps = run_cfg.t_end / solver._dt()
     _require(steps <= _STEP_BUDGET,
              f"eps: {run_cfg.eps!r} needs about {steps:.2g} steps to reach t_end "
              f"{run_cfg.t_end!r}, over the budget of {_STEP_BUDGET:.0e}")
@@ -428,8 +432,7 @@ def _run_sweep(cls_cfg: lsw_classical.ClassicalRunConfig,
     # resample the classical series onto the sweep stride for rate estimates
     cls_times = diagnostics.output_times(t_end, stride)
     cls_lambda = np.interp(cls_times, cls_series.times, cls_series.column("Lambda"))
-    cls_for_rate = diagnostics.TrajectorySeries(
-        times=cls_times, columns={"Lambda": cls_lambda}, provenance="sweep:classical")
+    cls_for_rate = diagnostics.TrajectorySeries(times=cls_times, columns={"Lambda": cls_lambda})
     rate_cls_fd, fd_smooth = diagnostics.coarsening_rate(cls_for_rate, big_t)
     rate_cls_sa = lsw_classical.rate_semi_analytic(cls_solver, big_t)
     rate_rel_err = abs(rate_cls_fd - rate_cls_sa) / abs(rate_cls_sa)

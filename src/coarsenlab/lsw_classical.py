@@ -186,8 +186,9 @@ class ClassicalRunConfig:
     def validate(self) -> None:
         if self.t_end <= 0 or self.dt <= 0:
             raise ValueError("t_end and dt must be positive")
-        if self.panels < 1 or self.nodes_per_panel < 2:
-            raise ValueError("need panels >= 1 and nodes_per_panel >= 2")
+        # numpy tests leggauss, whose n x n companion matrix is dense, to degree 100
+        if self.panels < 1 or not 2 <= self.nodes_per_panel <= 100:
+            raise ValueError("need panels >= 1 and 2 <= nodes_per_panel <= 100")
 
 
 class ClassicalSolver:
@@ -195,7 +196,8 @@ class ClassicalSolver:
 
     The state is just the L-history: the density never lives on a mesh, every
     evaluation composes the initial tail with freshly integrated
-    characteristics.
+    characteristics.  ``initial_integrals``, the tail integrals at t = 0,
+    give L(0).
     """
 
     def __init__(self, config: ClassicalRunConfig):
@@ -205,8 +207,9 @@ class ClassicalSolver:
         self.t = 0.0
         base_x, self._gl_w = leggauss(config.nodes_per_panel)
         self._gl_shift = base_x + 1.0  # the Gauss nodes on [0, 2]
-        l0 = self._initial_l()
-        self.history = LHistory(times=np.array([0.0]), values=np.array([l0]))
+        self.initial_integrals = self._tail_integrals(0.0, None)
+        self.history = LHistory(times=np.array([0.0]),
+                                values=np.array([self.initial_integrals["l_third"] ** 3]))
         self.fp_iterations: list[int] = []  # fixed-point iterations of each step
 
     # -- quadrature plumbing -------------------------------------------------
@@ -222,14 +225,11 @@ class ClassicalSolver:
         nodes = edges[:-1, None] + half * self._gl_shift
         return nodes.ravel(), (half * self._gl_w).ravel()
 
-    def _initial_l(self) -> float:
-        u, du = self._u_nodes(0.0)
-        w = self.tail.w0(u ** 3)
-        n0 = self.tail.n0
-        return float((w @ du) / n0) ** 3
+    def _tail_integrals(self, t: float, history: LHistory | None) -> dict:
+        """Quadratures of the transported tail at time t under a trial L.
 
-    def _tail_integrals(self, t: float, history: LHistory) -> dict:
-        """Quadratures of the transported tail at time t under a trial L."""
+        At t = 0 the feet are the nodes themselves, and ``history`` is not read.
+        """
         u, du = self._u_nodes(t)
         xs = np.concatenate(([0.0], u ** 3))
         feet = _backward_feet(xs, t, history)
@@ -242,7 +242,6 @@ class ClassicalSolver:
             "mass": float((3.0 * u * u * wq) @ du),
             "energy": float((2.0 * u * wq) @ du),
             "scale": float((4.0 * u ** 3 * wq) @ du),
-            "foot0": float(feet[0]),
         }
 
     # -- public surface ------------------------------------------------------
@@ -311,11 +310,9 @@ def run_classical(config: ClassicalRunConfig) -> tuple[TrajectorySeries, LHistor
                 "E": info["energy"], "M": info["scale"], "N": info["n"],
                 "mass_residual": info["mass"] - 1.0}
 
-    rows = [row(solver._tail_integrals(0.0, solver.history))]
+    rows = [row(solver.initial_integrals)]
     n_steps = max(1, int(round(config.t_end / config.dt)))
     dt = config.t_end / n_steps
     for _ in range(n_steps):
         rows.append(row(solver.advance(dt)))
-    series = TrajectorySeries.from_rows(
-        rows, f"classical:{config.tail.label}:dt={config.dt}")
-    return series, solver.history, solver
+    return TrajectorySeries.from_rows(rows), solver.history, solver

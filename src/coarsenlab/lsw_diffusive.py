@@ -359,8 +359,7 @@ class DiffusiveSolver:
                 rows.append(self._row(mass0))
 
         march(sorted(out_times | snap_times), self._dt, attempt, at_stop, self.mass)
-        series = TrajectorySeries.from_rows(
-            rows, f"diffusive:eps={cfg.eps}:conserve:M={cfg.n_cells}:{cfg.tail.label}")
+        series = TrajectorySeries.from_rows(rows)
         history = LHistory(times=np.array(knot_t), values=np.array(knot_l))
         return series, history, snapshots
 

@@ -13,14 +13,14 @@ by a SeedSequence of the seed: its normals from
 ``SFC64(SeedSequence(seed, spawn_key=(2j + 1,)))`` and its uniforms from
 ``spawn_key=(2j + 2,)``, so each stream depends on the seed and j alone, and
 any nonnegative integer is a seed.  Each step draws one normal per live path
-and, under the bridge correction, one uniform per live path with x_new > 0
-and x * x_new <= 18.5 sigma^2 dt, both in path order.  That cut is
-q = -2 x x_new / (sigma^2 dt) >= -37 without a division, and it takes in every
-path with x_new <= 0, which is absorbed without a draw.  Beyond it a path is
-not offered the bridge crossing: SFC64's uniforms are multiples of 2**-53
-and exp(-37) = 8.5e-17 < 2**-53, so only u == 0 could beat exp(q) there, and
-the cut moves a crossing probability by at most 2**-53 per path and step.
-exp(q) is computed for the drawn paths only.
+and, for the Brownian-bridge correction of the absorption, one uniform per
+live path with x_new > 0 and x * x_new <= 18.5 sigma^2 dt, both in path
+order.  That cut is q = -2 x x_new / (sigma^2 dt) >= -37 without a division,
+and it takes in every path with x_new <= 0, which is absorbed without a draw.
+Beyond it a path is not offered the bridge crossing: SFC64's uniforms are
+multiples of 2**-53 and exp(-37) = 8.5e-17 < 2**-53, so only u == 0 could
+beat exp(q) there, and the cut moves a crossing probability by at most 2**-53
+per path and step.  exp(q) is computed for the drawn paths only.
 
 The blocks run to the end on a thread pool with one worker per available
 core, and their results are joined in block order, so the results are a
@@ -63,7 +63,6 @@ class McConfig:
     n_paths: int = field(default=200_000, metadata={"json": int})
     dt: float = field(default=1e-3, metadata={"json": float})
     seed: int
-    boundary: str = "bridge"  # or "naive"
 
     def validate(self) -> None:
         if self.eps < 0:
@@ -71,8 +70,6 @@ class McConfig:
         if self.n_paths < 1 or self.dt <= 0 or self.T <= 0:
             raise ValueError(f"need n_paths >= 1, dt > 0, T > 0, got n_paths {self.n_paths}, "
                              f"dt {self.dt}, T {self.T}")
-        if self.boundary not in ("bridge", "naive"):
-            raise ValueError(f"unknown boundary scheme {self.boundary!r}")
 
     __post_init__ = validate  # a McConfig is checked when it is made
 
@@ -120,9 +117,10 @@ def _euler_step(x, x_new, tmp, s2dt, z, normal, uniform, big_l, eps, dt):
 
     Every array argument has one entry per live path (all > 0); ``tmp``,
     ``s2dt`` (sigma^2 dt) and ``z`` are scratch.  ``normal(out=z)`` fills
-    ``z`` with normals (None when eps is 0), and ``uniform(n)`` draws n
-    uniforms for the paths a bridge crossing can absorb, in path order (None
-    without the bridge correction).
+    ``z`` with normals, and ``uniform(n)`` draws n uniforms for the paths a
+    bridge crossing can absorb, in path order; both are None when eps is 0.
+    A path is absorbed when its step ends at or below 0, or when its uniform
+    falls below its Brownian-bridge crossing probability.
     """
     np.divide(x, big_l, out=tmp)
     np.cbrt(tmp, out=tmp)
@@ -139,8 +137,6 @@ def _euler_step(x, x_new, tmp, s2dt, z, normal, uniform, big_l, eps, dt):
     np.sqrt(s2dt, out=tmp)
     tmp *= z
     x_new += tmp
-    if uniform is None:
-        return np.flatnonzero(x_new <= 0.0)
     np.multiply(x, x_new, out=tmp)
     np.multiply(s2dt, _CUT, out=z)
     near = np.flatnonzero(tmp <= z)  # every x_new <= 0 among them
@@ -174,8 +170,7 @@ def _simulate_block(config: McConfig, x0: np.ndarray, j: int):
     normal = uniform = None
     if eps > 0.0:
         normal = _stream(config.seed, 2 * j + 1).standard_normal
-        if config.boundary == "bridge":
-            uniform = _stream(config.seed, 2 * j + 2).random
+        uniform = _stream(config.seed, 2 * j + 2).random
     for k in range(n_steps):
         if m == 0:
             break

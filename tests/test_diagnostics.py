@@ -68,12 +68,11 @@ class TestTrajectorySeries:
     def test_from_rows(self):
         rows = [{"t": 0.0, "b": 2.0, "a": 1.0},
                 {"t": 0.5, "b": np.nan, "a": 0.1}]
-        series = TrajectorySeries.from_rows(rows, "rows")
+        series = TrajectorySeries.from_rows(rows)
         assert list(series.columns) == ["b", "a"]
         assert np.array_equal(series.times, [0.0, 0.5])
         assert np.array_equal(series.column("a"), [1.0, 0.1])
         assert np.array_equal(series.column("b"), [2.0, np.nan], equal_nan=True)
-        assert series.provenance == "rows"
 
 
 class TestMeanVolume:
@@ -126,7 +125,6 @@ def _power_law_series(t_end=50.0, n=400, e0=1.2, m0=1.0):
             "E": e0 * (1.0 + t) ** (-1.0 / 3.0),
             "M": m0 * (1.0 + t) ** (1.0 / 3.0),
         },
-        provenance="synthetic",
     )
 
 

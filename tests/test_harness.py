@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -38,6 +39,8 @@ class TestTailProbes:
         levels = tail.n0 * np.arange(8, 0, -1) / 9.0
         assert np.allclose(tail.w0(probes), levels, atol=1e-8)
 
+
+_BUMP_2_3 = {"kind": "compact-bump", "a": 2.0, "b": 3.0}
 
 # Malformed configs with one fault each: every one must exit 2 and name the
 # faulty field, or each of the faulty fields (seed is read for every kind).
@@ -103,6 +106,16 @@ CONFIG_FAULTS = [
      "T + t_margin"),
     ("classical", {"panels": "x"}, "panels"),
     ("classical", {"initial": {"kind": "compact-bump"}}, "initial"),
+    # numpy tests Gauss-Legendre nodes to degree 100
+    ("classical", {"nodes_per_panel": 101}, "nodes_per_panel"),
+    # the mass of the table overflows to inf, which would scale the density to 0
+    ("classical", {"initial": {"kind": "table", "x": [0, 1e200], "c": [1, 1]}}, "initial"),
+    ("diffusive", {"eps": 0.2, "initial": {"kind": "table", "x": [0, 1e200], "c": [1, 1]}},
+     "initial"),
+    # the data lies beyond the grid's right end
+    ("diffusive", {"eps": 0.2, "x_max": 1.0, "initial": _BUMP_2_3}, "x_max"),
+    ("duality", {"x_max": 1.0, "n_cells": 16, "T": 0.01, "initial": _BUMP_2_3}, "x_max"),
+    ("sweep", {"x_max": 1.0, "n_cells": 16, "initial": _BUMP_2_3}, "x_max"),
 ] + [
     (kind, {"seed": seed}, "seed")
     for kind in KINDS for seed in ("abc", [1], -5)
@@ -336,6 +349,38 @@ class TestEffectiveConfig:
                   for name, invariant, columns, keywords in table]
             for key, table in rows.items()
         }
+
+    @pytest.mark.parametrize("kind, fields, refine", [
+        ("diffusive", {"t_end": 0.4}, False),  # 9 rows: kohn_otto_report's checks run
+        ("sweep", {}, False),
+        ("mc-check", {}, False),
+        ("duality", {}, True),
+    ])
+    def test_readme_scalar_checks(self, kind, fields, refine, tmp_path):
+        # a run's checks are its kind's README rows: those of its "#### `kind`
+        # checks" table, if any, then those of the scalar table, in order
+        text = open(README).read()
+        rows = re.findall(rf"^#### `{kind}` checks\n\n((?:\|.*\n)+)", text, re.M)
+        names = [re.search(r"`(.+?)`", row).group(1) for row in
+                 (rows[0].splitlines()[2:] if rows else [])]
+        for check_name in re.findall(rf"^\| `{kind}` \| `(.+?)`", text, re.M):
+            names += ([check_name.replace("<payoff>", payoff)
+                       for payoff in ("one", "cuberoot", "indicator")]
+                      if "<payoff>" in check_name else [check_name])
+        run_experiment({"kind": kind, **TINY[kind][0], **fields}, str(tmp_path),
+                       refine=refine)
+        summary = json.load(open(tmp_path / "summary.json"))
+        assert [c["name"] for c in summary["checks"]] == names
+
+    def test_digest_configs_parse(self):
+        # a config of tools/artifact_digests.py that no longer parses would
+        # print "exit 2 files 0" in place of its digests
+        path = os.path.join(os.path.dirname(README), "tools", "artifact_digests.py")
+        spec = importlib.util.spec_from_file_location("artifact_digests", path)
+        digests = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digests)
+        for name, config, seed, refine in digests.CONFIGS:
+            parse_config(dict(config), seed, refine)
 
 
 class TestSolverFailure:

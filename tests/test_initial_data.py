@@ -65,6 +65,9 @@ class TestTabulated:
             initial_data.tabulated(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             initial_data.tabulated(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
+        # the mass 5e399 overflows to inf, and c / inf would be 0 everywhere
+        with pytest.raises(ValueError, match="finite positive mass"):
+            initial_data.tabulated(np.array([0.0, 1e200]), np.array([1.0, 1.0]))
 
 
 class TestDilated:

@@ -30,11 +30,10 @@ def deterministic_exit_time(x: float) -> float:
     return 3.0 * (-u * u / 2.0 - u - math.log1p(-u))
 
 
-def _config(eps=0.25, T=0.25, n_paths=20_000, dt=1e-3, seed=7, l_value=1.0,
-            boundary="bridge"):
+def _config(eps=0.25, T=0.25, n_paths=20_000, dt=1e-3, seed=7, l_value=1.0):
     return McConfig(
         eps=eps, history=LHistory.constant(l_value, T), T=T,
-        n_paths=n_paths, dt=dt, seed=seed, boundary=boundary,
+        n_paths=n_paths, dt=dt, seed=seed,
     )
 
 
@@ -116,7 +115,7 @@ def _reference_batch(config, x_starts):
     alive = alive0.copy()
     exit_t = np.where(alive, np.nan, 0.0)
     eps = config.eps
-    bridge = config.boundary == "bridge" and eps > 0.0
+    bridge = eps > 0.0
     for k in range(n_steps):
         if not alive.any():
             break
@@ -160,21 +159,18 @@ _MIXED_STARTS = np.repeat([0.0, 0.01, 0.3, 1.0, 2.5], 300)
 
 class TestBatchMatchesReference:
     @pytest.mark.parametrize("eps", [0.0, 0.002, 0.25])
-    @pytest.mark.parametrize("boundary", ["bridge", "naive"])
     @pytest.mark.parametrize("growing", [False, True], ids=["constant-L", "growing-L"])
-    def test_mixed_starts(self, eps, boundary, growing):
+    def test_mixed_starts(self, eps, growing):
         T = 0.4
         history = _GROWING if growing else LHistory.constant(0.9, T)
-        cfg = McConfig(eps=eps, history=history, T=T, n_paths=1, dt=2e-3,
-                       seed=5, boundary=boundary)
+        cfg = McConfig(eps=eps, history=history, T=T, n_paths=1, dt=2e-3, seed=5)
         alive, _, _ = _assert_same_batch(cfg, _MIXED_STARTS)
         assert 0 < alive.sum() < len(_MIXED_STARTS)
 
-    @pytest.mark.parametrize("boundary", ["bridge", "naive"])
-    def test_all_absorbed_before_T(self, boundary):
+    def test_all_absorbed_before_T(self):
         # travel time from 0.05 is about 0.03, so the batch stops long before T
         cfg = McConfig(eps=0.002, history=LHistory.constant(1.0, 1.0), T=1.0,
-                       n_paths=1, dt=1e-3, seed=8, boundary=boundary)
+                       n_paths=1, dt=1e-3, seed=8)
         alive, x, exit_t = _assert_same_batch(cfg, np.full(500, 0.05))
         assert not alive.any() and np.all(x == 0.0)
         assert exit_t.max() < 0.5
@@ -261,32 +257,23 @@ class TestEstimates:
         s_const = estimate_survival_payoff(cfg_const, "one", 1.0).mean
         assert s_const >= s_grow
 
-    def test_bridge_absorbs_more_than_naive(self):
-        naive = estimate_survival_payoff(_config(boundary="naive"), "one", 0.3)
-        bridge = estimate_survival_payoff(_config(boundary="bridge"), "one", 0.3)
-        assert bridge.mean < naive.mean
-
     def test_matches_adjoint_solve(self):
-        # cheap version of the full cross-validation: one probe point
+        # cheap version of the full cross-validation at two probe points; near
+        # the boundary, at 0.25, Euler paths without the Brownian-bridge
+        # correction survive too often to pass
         eps, T = 0.25, 0.25
         hist = LHistory.constant(1.0, T)
         grid = Grid.log_graded(eps, 25.0, 1024)
         w0 = adjoint_solve(np.ones(grid.n_cells), T, hist, eps, grid)
-        x_probe = 1.0
-        pde = float(np.interp(x_probe, grid.centers, w0))
-        est = estimate_survival_payoff(
-            McConfig(eps=eps, history=hist, T=T, n_paths=100_000, dt=1e-3,
-                     seed=42),
-            "one", x_probe,
-        )
-        assert abs(est.mean - pde) <= 3.0 * (est.stderr + 2e-3)
+        config = McConfig(eps=eps, history=hist, T=T, n_paths=100_000, dt=1e-3, seed=42)
+        for x_probe in (0.25, 1.0):
+            pde = float(np.interp(x_probe, grid.centers, w0))
+            est = estimate_survival_payoff(config, "one", x_probe)
+            assert abs(est.mean - pde) <= 3.0 * (est.stderr + 2e-3), x_probe
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             _config(eps=-0.1)
-        with pytest.raises(ValueError):
-            McConfig(eps=0.1, history=LHistory.constant(1.0, 1.0), T=1.0,
-                     n_paths=10, dt=1e-3, seed=0, boundary="nope")
 
 
 class TestExitTimeHistogram:

@@ -307,7 +307,8 @@ def _run_classical(run_cfg: lsw_classical.ClassicalRunConfig, out_dir: str) -> O
                     "Lambda_end": float(series.column("Lambda")[-1]),
                     "max_mass_residual": checks[-1]["max_residual"],
                     "fp_iterations": sum(solver.fp_iterations),
-                    "fp_iterations_max_step": max(solver.fp_iterations)}
+                    "fp_iterations_max_step": max(solver.fp_iterations),
+                    "fp_contraction": solver.fp_contraction}
 
 
 # ---------------------------------------------------------------------------

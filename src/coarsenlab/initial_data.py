@@ -87,7 +87,8 @@ def tabulated(x: np.ndarray, c: np.ndarray) -> InitialTail:
         raise ValueError("need matching 1-D arrays with at least 2 samples")
     if np.any(np.diff(x) <= 0) or np.any(c < 0) or x[0] < 0:
         raise ValueError("x must be increasing and nonnegative, c nonnegative")
-    mass = float(np.trapezoid(x * c, x))
+    with np.errstate(over="ignore"):  # an overflow is rejected just below
+        mass = float(np.trapezoid(x * c, x))
     if not 0 < mass < np.inf:  # an overflowing mass would scale c to 0
         raise ValueError(f"tabulated data needs a finite positive mass, got {mass!r}")
     c = c / mass

@@ -9,6 +9,7 @@ fixtures, and the reference classical runs through the session-scoped ones in
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def coarsening_long_run():
 def sweep_summary(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
     code = run_experiment({"kind": "sweep"}, str(out))
-    return code, json.load(open(out / "summary.json"))
+    return code, json.loads((out / "summary.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,7 @@ def test_05_duality(verdict, tmp_path):
     cfg = {"kind": "duality", "eps": 0.25, "T": 0.5, "n_cells": 2048,
            "tolerance": 1e-4}
     code = run_experiment(cfg, str(tmp_path), refine=True)
-    summary = json.load(open(tmp_path / "summary.json"))
+    summary = json.loads((tmp_path / "summary.json").read_text())
     residual = summary["details"]["residuals"]["one"]["residual"]
     ratio = summary["details"]["refinement_ratios"]["one"]
     verdict(5, "forward/adjoint pairing residual <= 1e-4 and halves under "
@@ -168,7 +169,7 @@ def test_05_duality(verdict, tmp_path):
 def test_06_mc_cross_validation(verdict, tmp_path):
     code = run_experiment({"kind": "mc-check", "seed": 20260823},
                           str(tmp_path))
-    summary = json.load(open(tmp_path / "summary.json"))
+    summary = json.loads((tmp_path / "summary.json").read_text())
     agree = summary["checks"][0]["agree"]
     verdict(6, "Monte Carlo survival matches the adjoint PDE at >= 4/5 "
                "probes (3 error bars)",
@@ -260,7 +261,7 @@ def test_12_determinism(verdict, tmp_path):
         for dirpath, _, files in os.walk(root):
             for name in sorted(files):
                 path = os.path.join(dirpath, name)
-                out[os.path.relpath(path, root)] = open(path, "rb").read()
+                out[os.path.relpath(path, root)] = Path(path).read_bytes()
         return out
 
     identical = True

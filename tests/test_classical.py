@@ -273,12 +273,60 @@ class TestFixedPointStart:
         rising = LHistory(times=hist.times, values=np.array([1.0, 1.0, 1.0, 2.0]))
         assert _fixed_point_start(rising, 0.4) == 2.0 * 2.0
 
-    def test_reference_run_takes_two_iterations_after_the_fifth_step(
+    def test_reference_run_takes_one_iteration_after_the_fifth_step(
             self, classical_exponential_run):
         iterations = classical_exponential_run[2].fp_iterations
         assert len(iterations) == 40
-        assert max(iterations[5:]) <= 2
-        assert sum(iterations) <= 90
+        assert set(iterations[5:]) == {1}
+        assert sum(iterations) <= 45
+
+
+# (tail, dt, t_end) of the runs whose knots are held to the converged fixed point
+CONTRACTION_RUNS = {
+    "reference": (initial_data.exponential_moment, 0.0125, 0.5),
+    "exponential-coarse": (initial_data.exponential_moment, 0.1, 2.0),
+    "compact-bump": (lambda: initial_data.compact_bump(0.5, 1.5), 0.05, 1.0),
+}
+
+
+class TestContractionStop:
+    @pytest.mark.parametrize("name", CONTRACTION_RUNS)
+    def test_knots_match_the_converged_fixed_point(
+            self, name, classical_exponential_run, monkeypatch):
+        tail, dt, t_end = CONTRACTION_RUNS[name]
+        cfg = ClassicalRunConfig(tail=tail(), t_end=t_end, dt=dt)
+        if name == "reference":
+            history = classical_exponential_run[1]
+        else:
+            history = run_classical(cfg)[1]
+        monkeypatch.setattr(lsw_classical, "_FP_TOL", 1e-14)
+        converged = run_classical(cfg)[1]
+        assert np.array_equal(history.times, converged.times)
+        # measured at most 2.1e-11 (compact-bump), so the bound has 5x headroom
+        assert np.max(np.abs(history.values / converged.values - 1.0)) <= 1e-10
+
+    @staticmethod
+    def _solver_after_steps(n_steps: int, dt: float) -> ClassicalSolver:
+        solver = ClassicalSolver(ClassicalRunConfig(tail=initial_data.exponential_moment()))
+        for _ in range(n_steps):
+            solver.advance(dt)
+        return solver
+
+    def test_a_new_dt_measures_the_contraction_again(self):
+        solver = self._solver_after_steps(8, 0.0125)
+        assert solver.fp_iterations[-1] == 1  # stopped on the measured contraction
+        measured = solver.fp_contraction
+        assert 0.0 < abs(measured) < 1e-2
+        fresh = self._solver_after_steps(8, 0.0125)
+        fresh.fp_contraction = None  # as if no step had iterated twice
+        solver.advance(0.0126)
+        fresh.advance(0.0126)
+        assert solver.fp_iterations[-1] == fresh.fp_iterations[-1] >= 2
+        assert solver.current_l == fresh.current_l
+        assert solver.fp_contraction == fresh.fp_contraction != measured
+        # the next step of that dt stops on the contraction it just measured
+        solver.advance(0.0126)
+        assert solver.fp_iterations[-1] == 1
 
 
 class TestSolver:

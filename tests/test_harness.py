@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ def _tree_bytes(root):
     for dirpath, _, files in os.walk(root):
         for name in sorted(files):
             path = os.path.join(dirpath, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            out[os.path.relpath(path, root)] = Path(path).read_bytes()
     return out
 
 
@@ -265,7 +266,7 @@ class TestEffectiveConfig:
     def test_rerun_from_config_json(self, kind, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
         code = run_experiment({"kind": kind, **TINY[kind][0]}, str(first))
-        recorded = json.load(open(first / "config.json"))
+        recorded = json.loads((first / "config.json").read_text())
         assert set(recorded) == {"kind", "seed", *KINDS[kind][0]}
         assert run_experiment(recorded, str(second)) == code
         assert _tree_bytes(first) == _tree_bytes(second)
@@ -312,7 +313,7 @@ class TestEffectiveConfig:
                 return "required"
             return "derived" if entry[1] is None else f"`{json.dumps(entry[1])}`"
 
-        text = open(README).read()
+        text = Path(README).read_text()
         documented = {
             kind: [tuple(cell.strip() for cell in row.split("|")[1:4])
                    for row in body.splitlines()[2:]]
@@ -331,7 +332,7 @@ class TestEffectiveConfig:
             return " ".join(f"`{key}={value!r}`" for key, value in keywords.items()
                             if key != "label") or "none"
 
-        text = open(README).read()
+        text = Path(README).read_text()
         documented = {
             (kind, suffix): [tuple(cell.strip() for cell in row.split("|")[1:5])
                              for row in body.splitlines()[2:]]
@@ -359,7 +360,7 @@ class TestEffectiveConfig:
     def test_readme_scalar_checks(self, kind, fields, refine, tmp_path):
         # a run's checks are its kind's README rows: those of its "#### `kind`
         # checks" table, if any, then those of the scalar table, in order
-        text = open(README).read()
+        text = Path(README).read_text()
         rows = re.findall(rf"^#### `{kind}` checks\n\n((?:\|.*\n)+)", text, re.M)
         names = [re.search(r"`(.+?)`", row).group(1) for row in
                  (rows[0].splitlines()[2:] if rows else [])]
@@ -369,7 +370,7 @@ class TestEffectiveConfig:
                       if "<payoff>" in check_name else [check_name])
         run_experiment({"kind": kind, **TINY[kind][0], **fields}, str(tmp_path),
                        refine=refine)
-        summary = json.load(open(tmp_path / "summary.json"))
+        summary = json.loads((tmp_path / "summary.json").read_text())
         assert [c["name"] for c in summary["checks"]] == names
 
     def test_digest_configs_parse(self):
@@ -390,7 +391,7 @@ class TestSolverFailure:
 
         monkeypatch.setattr(lsw_diffusive, "run_diffusive", fail)
         assert run_experiment({"kind": "diffusive", "eps": 0.25}, str(tmp_path)) == 3
-        summary = json.load(open(tmp_path / "summary.json"))
+        summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["error"] == {"type": "ZeroDivisionError", "message": "injected"}
 
     @pytest.mark.parametrize("closure, rows", [
@@ -399,7 +400,7 @@ class TestSolverFailure:
     def test_bd_checks_follow_the_closure(self, closure, rows, tmp_path):
         cfg = {"kind": "bd", **TINY["bd"][0], "closure": closure}
         assert run_experiment(cfg, str(tmp_path)) == 0
-        checks = json.load(open(tmp_path / "summary.json"))["checks"]
+        checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
         assert [check["name"] for check in checks] == [row[0] for row in rows]
 
     def test_saturated_bd_run(self, tmp_path):
@@ -412,7 +413,7 @@ class TestSolverFailure:
             "t_end": 20.0,
         }
         assert run_experiment(cfg, str(tmp_path)) == 3
-        summary = json.load(open(tmp_path / "summary.json"))
+        summary = json.loads((tmp_path / "summary.json").read_text())
         assert "error" in summary
 
     def test_saturated_bd_run_aborts_alike_under_both_schemes(self, tmp_path):
@@ -421,7 +422,7 @@ class TestSolverFailure:
         cfg = {"kind": "bd", "ell_max": 20, "closure": {"type": "dirichlet"},
                "initial": {"kind": "bins", "entries": [[15, 1.0]]}, "t_end": 20.0}
         assert run_experiment(cfg, str(tmp_path)) == 3
-        error = json.load(open(tmp_path / "summary.json"))["error"]
+        error = json.loads((tmp_path / "summary.json").read_text())["error"]
         assert error["type"] == "BdRunError"
         number = r"\d[-+.\de]*"
         assert re.sub(number, "#", error["message"]) == \
@@ -455,7 +456,7 @@ class TestBdExperiment:
         snaps = sorted(os.listdir(tmp_path / "snapshots"))
         assert snaps
         assert _read_header(tmp_path / "snapshots" / snaps[0]) == "t,ell,c"
-        summary = json.load(open(tmp_path / "summary.json"))
+        summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["all_passed"]
         names = {c["name"] for c in summary["checks"]}
         assert {"mass_conservation", "c1_above_saturation",
@@ -465,7 +466,7 @@ class TestBdExperiment:
         # the default closure drops the monomers and scales the rest to unit mass
         cfg = {"kind": "bd", "initial": {"kind": "equilibrium"}, "t_end": 1.0}
         assert run_experiment(cfg, str(tmp_path)) == 0
-        summary = json.load(open(tmp_path / "summary.json"))
+        summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["details"]["closure"] == "dirichlet"
         assert len(summary["checks"]) == 6
 
@@ -487,8 +488,9 @@ class TestClassicalExperiment:
         assert _read_header(tmp_path / "series.csv") == "t,L,Lambda,N,mass_residual"
         snaps = sorted(os.listdir(tmp_path / "snapshots"))
         assert _read_header(tmp_path / "snapshots" / snaps[0]) == "t,x,w"
-        summary = json.load(open(tmp_path / "summary.json"))
+        summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["all_passed"]
+        assert 0.0 < abs(summary["details"]["fp_contraction"]) < 1e-2
 
     @pytest.mark.parametrize("dt", [0.05, 0.02])
     def test_run_shorter_than_half_a_step(self, tmp_path, dt):
@@ -516,7 +518,7 @@ def test_run_shorter_than_a_quarter_stride(cfg, tmp_path):
 def test_summary_reports_negativity_clips(kind, solver, tmp_path, monkeypatch):
     def details(out):
         run_experiment({"kind": kind, **TINY[kind][0]}, str(tmp_path / out))
-        summary = json.load(open(tmp_path / out / "summary.json"))["details"]
+        summary = json.loads((tmp_path / out / "summary.json").read_text())["details"]
         return summary["neg_clips"], summary["neg_clip_min"]
 
     assert details("plain") == (0, 0.0)
@@ -542,7 +544,7 @@ class TestDiffusiveExperiment:
             "t,L,Lambda,E,M,N,mass_residual"
         snaps = sorted(os.listdir(tmp_path / "snapshots"))
         assert _read_header(tmp_path / "snapshots" / snaps[0]) == "t,x_center,c"
-        summary = json.load(open(tmp_path / "summary.json"))
+        summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["all_passed"]
 
 
@@ -554,7 +556,7 @@ class TestMcExperiment:
             "seed": 5,
         }
         assert run_experiment(cfg, str(tmp_path)) == 0
-        records = json.load(open(tmp_path / "mc_estimates.json"))
+        records = json.loads((tmp_path / "mc_estimates.json").read_text())
         assert len(records) == 3
         assert all(0.0 <= r["mean"] <= 1.0 for r in records)
 
@@ -566,7 +568,7 @@ class TestMcExperiment:
             "payoff": ["indicator", 1.0], "seed": 3,
         }
         assert run_experiment(cfg, str(tmp_path)) == 0
-        (record,) = json.load(open(tmp_path / "mc_estimates.json"))
+        (record,) = json.loads((tmp_path / "mc_estimates.json").read_text())
         assert record["payoff"] == ["indicator", 1.0]
         assert 0.0 < record["pde"] < 1.0
 
@@ -580,7 +582,7 @@ class TestMcExperiment:
                    "probes": [1.0], "payoff": ["indicator", 1.0]}
             out = tmp_path / str(n_cells)
             assert run_experiment(cfg, str(out)) in (0, 1)  # 10 paths may miss the band
-            pde.append(json.load(open(out / "mc_estimates.json"))[0]["pde"])
+            pde.append(json.loads((out / "mc_estimates.json").read_text())[0]["pde"])
         assert abs(pde[0] - pde[1]) < 1e-4
 
 
@@ -591,7 +593,7 @@ class TestDualityExperiment:
             "tolerance": 1e-4,
         }
         assert run_experiment(cfg, str(tmp_path)) == 0
-        summary = json.load(open(tmp_path / "summary.json"))
+        summary = json.loads((tmp_path / "summary.json").read_text())
         assert set(summary["details"]["residuals"]) == {
             "one", "cuberoot", "indicator"
         }
